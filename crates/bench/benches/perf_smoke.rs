@@ -44,23 +44,9 @@
 //! it pays for execution); a replay that leaves any request unserved
 //! always fails.
 //!
-//! # Intra-run parallelism smoke (`BENCH_PR7.json`)
-//!
-//! A third section times the same run at `cores=1` vs `cores=4` (the phased
-//! parallel tick, DESIGN.md §12), asserts the two produce **identical
-//! statistics**, and writes wall clocks plus the profiler breakdown — the
-//! `sync` and `idle` phases attribute the pool's barrier and park time — to
-//! `LAZYDRAM_CORES_BENCH_OUT` (default `BENCH_PR7.json`). Two optional
-//! gates: `LAZYDRAM_MAX_CORES_OVERHEAD=<ratio>` fails the run when cores=4
-//! is slower than `ratio` × cores=1 (on a 1-CPU host the pool degrades to
-//! the inline path, so the phased restructure must be near-free), and
-//! `LAZYDRAM_MIN_CORES_SPEEDUP=<ratio>` fails when cores=4 does not reach
-//! `ratio` × faster (only meaningful — and only set by `tier1.sh` — when
-//! the host actually has multiple CPUs).
-//!
 //! # Result-cache smoke (`BENCH_PR8.json`)
 //!
-//! A fourth section runs a fig04-style delay sweep against a fresh
+//! A third section runs a fig04-style delay sweep against a fresh
 //! content-addressed store twice — cold (populating it) and warm (served
 //! from it by a fresh runner, so every hit takes the disk path) — asserts
 //! the warm measurements equal the cold ones and that the warm run
@@ -72,7 +58,7 @@
 //!
 //! # Compute-skip smoke (`BENCH_PR9.json`)
 //!
-//! A fifth section distils the main sweep into the PR 9 trajectory file
+//! A fourth section distils the main sweep into the compute-skip trajectory file
 //! (`LAZYDRAM_PR9_BENCH_OUT`, default `BENCH_PR9.json`): per (app, scheme)
 //! the wall-clock ratio against `pre_pr9.tsv`, the skip fraction split into
 //! idle vs analytic compute skips, and — when built with `--features prof` —
@@ -323,93 +309,6 @@ fn trace_smoke(scale: f64) -> bool {
         }
         _ => true,
     }
-}
-
-/// Times the same run at `cores=1` vs `cores=4`, asserts identical
-/// statistics, and writes wall clocks + profiler attribution (including the
-/// pool's `sync`/`idle` phases) to `LAZYDRAM_CORES_BENCH_OUT`. Returns
-/// `false` when an enabled gate fails: `LAZYDRAM_MAX_CORES_OVERHEAD` caps
-/// how much slower cores=4 may be (the 1-CPU inline-path check), and
-/// `LAZYDRAM_MIN_CORES_SPEEDUP` demands a real scaling win (multi-CPU
-/// hosts only — tier1.sh sets it only when `nproc > 1`).
-fn cores_smoke(scale: f64, reps: usize) -> bool {
-    const CORES_APPS: &[&str] = &["SLA", "SCP"];
-    const WIDE: usize = 4;
-    let max_overhead = ratio_from_env("LAZYDRAM_MAX_CORES_OVERHEAD");
-    let min_speedup = ratio_from_env("LAZYDRAM_MIN_CORES_SPEEDUP");
-    let sched = SchedConfig::static_dms();
-    let mut json_rows = Vec::new();
-    let mut ok = true;
-    eprintln!("\nintra-run parallelism smoke (phased tick, cores=1 vs cores={WIDE}):");
-    for app in CORES_APPS {
-        let spec = by_name(app).expect("known app");
-        let timed = |cores: usize| {
-            let run = SimBuilder::new(&spec)
-                .sched(sched.clone(), "perf")
-                .scale(scale)
-                .cores(cores)
-                .build();
-            let mut best = f64::INFINITY;
-            let mut stats = None;
-            for _ in 0..reps.max(1) {
-                let t0 = Instant::now();
-                let r = run.run();
-                best = best.min(t0.elapsed().as_secs_f64());
-                stats = Some(r.stats);
-            }
-            (best, stats.expect("at least one rep"))
-        };
-        let (one_s, one_stats) = timed(1);
-        let (wide_s, wide_stats) = timed(WIDE);
-        assert!(
-            one_stats == wide_stats,
-            "{app}: cores=1 and cores={WIDE} stats diverge — parallel tick is not \
-             result-invisible"
-        );
-        let overhead = wide_s / one_s.max(1e-9);
-        eprintln!(
-            "  {app}: cores=1 {one_s:.3}s vs cores={WIDE} {wide_s:.3}s \
-             ({overhead:.2}x; identical stats)"
-        );
-        if let Some(cap) = max_overhead {
-            if overhead > cap {
-                eprintln!(
-                    "  CORES OVERHEAD REGRESSION: {app} cores={WIDE} is {overhead:.2}x \
-                     cores=1, over the {cap}x cap"
-                );
-                ok = false;
-            }
-        }
-        if let Some(floor) = min_speedup {
-            let speedup = one_s / wide_s.max(1e-9);
-            if speedup < floor {
-                eprintln!(
-                    "  CORES SCALING REGRESSION: {app} cores={WIDE} is only {speedup:.2}x \
-                     faster than cores=1, under the {floor}x floor"
-                );
-                ok = false;
-            }
-        }
-        let mut o = JsonObject::new();
-        o.str("app", app)
-            .f64("scale", scale)
-            .u64("cores_wide", WIDE as u64)
-            .f64("cores1_s", one_s)
-            .f64("cores_wide_s", wide_s)
-            .f64("overhead_ratio", overhead)
-            .u64("core_cycles", wide_stats.core_cycles);
-        if !wide_stats.prof.is_empty() {
-            o.raw("prof_cores1", &one_stats.prof.to_json())
-                .raw("prof_cores_wide", &wide_stats.prof.to_json());
-        }
-        json_rows.push(o.finish());
-    }
-    let out = std::env::var("LAZYDRAM_CORES_BENCH_OUT")
-        .unwrap_or_else(|_| "BENCH_PR7.json".to_string());
-    std::fs::write(&out, array(&json_rows) + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-    eprintln!("wrote {out}");
-    ok
 }
 
 /// Runs the same fig04-style delay sweep cold (fresh store) and warm (fresh
@@ -771,7 +670,6 @@ fn main() {
     let pr10_ok = pr10_smoke(&rows, scale);
 
     let trace_ok = trace_smoke(scale);
-    let cores_ok = cores_smoke(scale, reps);
     let cache_ok = cache_smoke(scale);
 
     if let Some(cap) = max_regression {
@@ -798,7 +696,7 @@ fn main() {
         }
         eprintln!("perf gate passed (no app slower than {cap}x pre-PR)");
     }
-    if !trace_ok || !cores_ok || !cache_ok || !pr10_ok {
+    if !trace_ok || !cache_ok || !pr10_ok {
         std::process::exit(1);
     }
 }

@@ -12,17 +12,9 @@
 //!
 //! ```text
 //! dbg_diverge [APP] [X1] [X2] [SCALE] [STRIDE]
-//! dbg_diverge --cores A:B [APP] [X1] [SCALE] [STRIDE]
 //! ```
 //!
 //! Defaults: `SLA 128 256 0.05 4096` — Static-DMS with delay X1 vs X2.
-//!
-//! With `--cores A:B` the tool instead compares the *same* configuration
-//! (Static-DMS X1) executed at two worker-pool widths. Any width must be
-//! bit-identical to any other by construction (DESIGN.md §12), so this mode
-//! compares the **strict whole-checkpoint digest** — no frame is excused,
-//! `meta` and the `dms`/`ams` policy state included — and any divergence at
-//! all is a parallelism bug whose first cycle this pinpoints.
 
 use lazydram_bench::SimBuilder;
 use lazydram_common::snap::{digest, fold, list_frames};
@@ -71,22 +63,13 @@ fn step(run: &SimRun, from: Option<&Checkpoint>, target: u64) -> RunOutcome {
     }
 }
 
-/// State probe for the bisection: a paused run compares by digest —
-/// comparable (policy frames excused) in DMS mode, strict whole-checkpoint
-/// in `--cores` mode — while a completed run compares by completion shape
-/// (cycle count and output digest), so an early finish on one side
-/// registers as divergence.
-fn probe(
-    run: &SimRun,
-    from: Option<&Checkpoint>,
-    target: u64,
-    strict: bool,
-) -> (u64, Option<Checkpoint>) {
+/// State probe for the bisection: a paused run compares by its comparable
+/// digest (policy frames excused), while a completed run compares by
+/// completion shape (cycle count and output digest), so an early finish on
+/// one side registers as divergence.
+fn probe(run: &SimRun, from: Option<&Checkpoint>, target: u64) -> (u64, Option<Checkpoint>) {
     match step(run, from, target) {
-        RunOutcome::Paused(ck) => {
-            let d = if strict { ck.digest() } else { comparable_digest(&ck) };
-            (d, Some(ck))
-        }
+        RunOutcome::Paused(ck) => (comparable_digest(&ck), Some(ck)),
         RunOutcome::Done(r) => {
             let mut h = fold(0xD0E_u64, r.stats.core_cycles);
             for v in &r.output {
@@ -97,14 +80,14 @@ fn probe(
     }
 }
 
-fn frame_diff(a: &Checkpoint, b: &Checkpoint, strict: bool) -> Vec<String> {
+fn frame_diff(a: &Checkpoint, b: &Checkpoint) -> Vec<String> {
     let (ba, bb) = (a.body(), b.body());
     let fa = list_frames(ba).expect("frames");
     let fb = list_frames(bb).expect("frames");
     let mut out = Vec::new();
     for (x, y) in fa.iter().zip(&fb) {
         assert_eq!((&x.tag, x.index), (&y.tag, y.index), "frame layout mismatch");
-        if x.tag == "meta" && !strict {
+        if x.tag == "meta" {
             continue;
         }
         let (pa, pb) = (x.payload(ba), y.payload(bb));
@@ -114,7 +97,7 @@ fn frame_diff(a: &Checkpoint, b: &Checkpoint, strict: bool) -> Vec<String> {
                 .iter()
                 .zip(&list_frames(pb).expect("mc subframes"))
             {
-                if (sx.tag == "dms" || sx.tag == "ams") && !strict {
+                if sx.tag == "dms" || sx.tag == "ams" {
                     continue;
                 }
                 if sx.payload(pa) != sy.payload(pb) {
@@ -131,11 +114,11 @@ fn frame_diff(a: &Checkpoint, b: &Checkpoint, strict: bool) -> Vec<String> {
 /// `true` for field paths that differ by construction between the two
 /// configurations (policy parameters / policy-internal profiling state),
 /// as opposed to architectural state that should agree until divergence.
-fn expected_diff(path: &str, strict: bool) -> bool {
-    !strict && (path.starts_with("meta") || path.contains("/dms[") || path.contains("/ams["))
+fn expected_diff(path: &str) -> bool {
+    path.starts_with("meta") || path.contains("/dms[") || path.contains("/ams[")
 }
 
-fn field_diff(run_a: &SimRun, ck_a: &Checkpoint, run_b: &SimRun, ck_b: &Checkpoint, strict: bool) {
+fn field_diff(run_a: &SimRun, ck_a: &Checkpoint, run_b: &SimRun, ck_b: &Checkpoint) {
     let fields_a: BTreeMap<String, String> =
         run_a.checkpoint_fields(ck_a).expect("fields").into_iter().collect();
     let fields_b: BTreeMap<String, String> =
@@ -144,7 +127,7 @@ fn field_diff(run_a: &SimRun, ck_a: &Checkpoint, run_b: &SimRun, ck_b: &Checkpoi
     println!("\nfield-level diff (architectural state; policy/config fields marked *):");
     for (path, va) in &fields_a {
         let Some(vb) = fields_b.get(path) else {
-            if expected_diff(path, strict) {
+            if expected_diff(path) {
                 println!("  * {path}: only in first run ({va})   (expected: policy config/state)");
             } else {
                 println!("    {path}: only in first run ({va})");
@@ -154,7 +137,7 @@ fn field_diff(run_a: &SimRun, ck_a: &Checkpoint, run_b: &SimRun, ck_b: &Checkpoi
         if va == vb {
             continue;
         }
-        if expected_diff(path, strict) {
+        if expected_diff(path) {
             println!("  * {path}: {va} vs {vb}   (expected: policy config/state)");
         } else {
             architectural += 1;
@@ -169,87 +152,27 @@ fn field_diff(run_a: &SimRun, ck_a: &Checkpoint, run_b: &SimRun, ck_b: &Checkpoi
     println!("\n{architectural} architectural field(s) differ at the divergence cycle");
 }
 
-/// Parses `A:B` (two positive integers) from a `--cores` value.
-fn parse_cores_pair(s: &str) -> Option<(usize, usize)> {
-    let (a, b) = s.split_once(':')?;
-    match (a.trim().parse().ok()?, b.trim().parse().ok()?) {
-        (a, b) if a >= 1 && b >= 1 => Some((a, b)),
-        _ => None,
-    }
-}
-
 fn main() {
-    // `--cores A:B` (or `--cores=A:B`) may appear anywhere; the remaining
-    // positional arguments keep their usual order.
-    let mut cores_pair: Option<(usize, usize)> = None;
-    let mut args: Vec<String> = Vec::new();
-    let mut raw = std::env::args().skip(1);
-    while let Some(arg) = raw.next() {
-        let value = if arg == "--cores" {
-            raw.next().unwrap_or_default()
-        } else if let Some(v) = arg.strip_prefix("--cores=") {
-            v.to_string()
-        } else {
-            args.push(arg);
-            continue;
-        };
-        cores_pair = Some(
-            parse_cores_pair(&value)
-                .unwrap_or_else(|| panic!("--cores wants A:B with A, B >= 1, got {value:?}")),
-        );
-    }
-
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let name = args.first().cloned().unwrap_or_else(|| "SLA".into());
     let x1: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(128);
-    // In `--cores` mode both runs share one config, so the X2 slot drops out
-    // and the remaining positionals shift left.
-    let (x2, rest) = match cores_pair {
-        Some(_) => (x1, &args[2.min(args.len())..]),
-        None => (
-            args.get(2).and_then(|s| s.parse().ok()).unwrap_or(256),
-            &args[3.min(args.len())..],
-        ),
-    };
-    let scale: f64 = rest.first().and_then(|s| s.parse().ok()).unwrap_or(0.05);
-    let stride: u64 = rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(4096).max(2);
+    let x2: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(256);
+    let scale: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0.05);
+    let stride: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(4096).max(2);
     let app = by_name(&name).expect("known app");
-    let strict = cores_pair.is_some();
 
-    let build = |x: u32, cores: Option<usize>| {
-        let mut b = SimBuilder::new(&app)
+    let build = |x: u32| {
+        SimBuilder::new(&app)
             .sched(
                 SchedConfig { dms: DmsMode::Static(x), ..SchedConfig::baseline() },
                 format!("DMS({x})"),
             )
-            .scale(scale);
-        if let Some(cores) = cores {
-            b = b.cores(cores);
-        }
-        b.build()
+            .scale(scale)
+            .build()
     };
-    let (run_a, run_b, label_a, label_b) = match cores_pair {
-        Some((a, b)) => (
-            build(x1, Some(a)),
-            build(x1, Some(b)),
-            format!("cores={a}"),
-            format!("cores={b}"),
-        ),
-        None => (
-            build(x1, None),
-            build(x2, None),
-            format!("DMS({x1})"),
-            format!("DMS({x2})"),
-        ),
-    };
-    match cores_pair {
-        Some((a, b)) => println!(
-            "{name} @ scale {scale}: bisecting Static-DMS X={x1} at cores={a} vs cores={b} \
-             (stride {stride}, strict whole-state digests)"
-        ),
-        None => println!(
-            "{name} @ scale {scale}: bisecting Static-DMS X={x1} vs X={x2} (stride {stride})"
-        ),
-    }
+    let (run_a, run_b) = (build(x1), build(x2));
+    let (label_a, label_b) = (format!("DMS({x1})"), format!("DMS({x2})"));
+    println!("{name} @ scale {scale}: bisecting Static-DMS X={x1} vs X={x2} (stride {stride})");
 
     // Phase 1: lockstep coarse scan. `lo` is the last cycle where the two
     // comparable digests agreed; the checkpoints at `lo` seed the bisection.
@@ -258,8 +181,8 @@ fn main() {
     let mut ck_b: Option<Checkpoint> = None;
     let hi = loop {
         let target = lo + stride;
-        let (da, na) = probe(&run_a, ck_a.as_ref(), target, strict);
-        let (db, nb) = probe(&run_b, ck_b.as_ref(), target, strict);
+        let (da, na) = probe(&run_a, ck_a.as_ref(), target);
+        let (db, nb) = probe(&run_b, ck_b.as_ref(), target);
         if da != db {
             break target;
         }
@@ -287,8 +210,8 @@ fn main() {
     let mut hi = hi;
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        let (da, na) = probe(&run_a, ck_a.as_ref(), mid, strict);
-        let (db, nb) = probe(&run_b, ck_b.as_ref(), mid, strict);
+        let (da, na) = probe(&run_a, ck_a.as_ref(), mid);
+        let (db, nb) = probe(&run_b, ck_b.as_ref(), mid);
         if da == db {
             lo = mid;
             if let (Some(a), Some(b)) = (na, nb) {
@@ -306,7 +229,7 @@ fn main() {
     let at_b = step(&run_b, ck_b.as_ref(), hi);
     match (at_a, at_b) {
         (RunOutcome::Paused(a), RunOutcome::Paused(b)) => {
-            let diff = frame_diff(&a, &b, strict);
+            let diff = frame_diff(&a, &b);
             println!("\ndivergent components at cycle {hi}:");
             for d in &diff {
                 println!("  {d}");
@@ -314,7 +237,7 @@ fn main() {
             if diff.is_empty() {
                 println!("  (none at frame granularity — divergence is in completion shape)");
             }
-            field_diff(&run_a, &a, &run_b, &b, strict);
+            field_diff(&run_a, &a, &run_b, &b);
         }
         (RunOutcome::Done(ra), RunOutcome::Done(rb)) => {
             println!(

@@ -6,12 +6,8 @@
 //!
 //! * **Worker count** comes from `LAZYDRAM_JOBS` (default:
 //!   [`std::thread::available_parallelism`]). `LAZYDRAM_JOBS=1` reproduces
-//!   the sequential run bit for bit. This knob **multiplies** with the
-//!   intra-run `LAZYDRAM_CORES` (each job's simulator runs its phased tick
-//!   that wide — see `crates/gpu/src/pool.rs`); [`SweepRunner::from_env`]
-//!   warns when `jobs × cores` oversubscribes the machine. For sweeps,
-//!   keep `LAZYDRAM_CORES=1` — job-level parallelism already saturates the
-//!   CPUs; `LAZYDRAM_CORES` earns its keep on *single* long runs.
+//!   the sequential run bit for bit. Each simulation itself runs on the
+//!   one job thread that owns it.
 //! * **Determinism** — results are collected in submission order, so harness
 //!   output is byte-identical regardless of worker count or completion
 //!   order.
@@ -200,24 +196,6 @@ impl SweepRunner {
             .with_checkpoints(CheckpointPolicy::from_env_or_die())
             .with_traces(TracePolicy::from_env_or_die())
             .with_cache(CachePolicy::from_env_or_die());
-        // The two parallelism knobs multiply: each of the LAZYDRAM_JOBS
-        // sweep workers runs its own simulator, and each simulator spins up
-        // LAZYDRAM_CORES-wide intra-run phases. jobs × cores beyond the
-        // machine oversubscribes it and usually runs *slower* than leaving
-        // LAZYDRAM_CORES=1 for sweeps (many independent sims already
-        // saturate the CPUs). Warn rather than clamp — a deliberate
-        // oversubscription for testing stays possible.
-        let cores = lazydram_gpu::cores_from_env();
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if !runner.quiet && runner.workers * cores > cpus {
-            eprintln!(
-                "warning: LAZYDRAM_JOBS={jobs} × LAZYDRAM_CORES={cores} = {product} threads \
-                 oversubscribes {cpus} CPU(s); prefer LAZYDRAM_CORES=1 for sweeps (jobs-level \
-                 parallelism already saturates the machine) or lower LAZYDRAM_JOBS",
-                jobs = runner.workers,
-                product = runner.workers * cores,
-            );
-        }
         match std::env::var("LAZYDRAM_RESULTS") {
             Ok(path) if !path.trim().is_empty() => runner.with_results_file(&path),
             _ => runner,

@@ -17,13 +17,11 @@
 //! no `cfg` and the optimizer erases them. With the feature on, a phase
 //! transition is one `RDTSC` read plus a handful of `Cell` load/stores in a
 //! thread-local accumulator. Each thread accumulates independently: sweeps
-//! run one simulation per job thread, and when `LAZYDRAM_CORES > 1` the
-//! intra-run worker pool's threads each keep their own totals, drained via
-//! [`take`] when the pool shuts down and merged into the run's report
-//! ([`ProfReport::merge`]). Spans shorter than the `RDTSC` measurement
-//! floor are
-//! dropped rather than accumulated, so guard overhead is not reported as
-//! phase time; the tick→seconds scale is recovered once per [`take`].
+//! run one simulation per job thread, and each launch drains its thread's
+//! totals via [`take`] into the run's report ([`ProfReport::merge`]).
+//! Spans shorter than the `RDTSC` measurement floor are dropped rather than
+//! accumulated, so guard overhead is not reported as phase time; the
+//! tick→seconds scale is recovered once per [`take`].
 //!
 //! # Usage
 //!
@@ -56,17 +54,10 @@ pub enum Phase {
     FuncMem,
     /// The event-driven fast-forward scan (`next_interesting_cycle`).
     FastForward,
-    /// Main-thread barrier wait: time the coordinating thread spends
-    /// waiting for worker-pool shards to finish a parallel phase
-    /// (`LAZYDRAM_CORES > 1`; zero on the sequential path).
-    Sync,
-    /// Worker-thread idle time: time a pool worker spends waiting for the
-    /// next parallel phase to be published (zero on the sequential path).
-    Idle,
 }
 
 /// Number of [`Phase`] variants ([`Phase::ALL`]'s length).
-pub const NUM_PHASES: usize = 8;
+pub const NUM_PHASES: usize = 6;
 
 impl Phase {
     /// Every phase, in display order.
@@ -77,8 +68,6 @@ impl Phase {
         Phase::Dram,
         Phase::FuncMem,
         Phase::FastForward,
-        Phase::Sync,
-        Phase::Idle,
     ];
 
     /// Stable snake_case name (used as the JSON key).
@@ -90,8 +79,6 @@ impl Phase {
             Phase::Dram => "dram",
             Phase::FuncMem => "func_mem",
             Phase::FastForward => "fast_forward",
-            Phase::Sync => "sync",
-            Phase::Idle => "idle",
         }
     }
 }

@@ -404,9 +404,9 @@ impl MemoryImage {
 /// pending lane writes.
 ///
 /// During phase A of the phased tick each SM stages its functional writes
-/// instead of committing them (the image is shared read-only across worker
-/// threads); loads issued later in the *same* SM's tick must still observe
-/// those writes to match the sequential semantics. The overlay holds the
+/// instead of committing them (the image is read-only for the whole
+/// phase); loads issued later in the *same* SM's tick must still observe
+/// those writes. The overlay holds the
 /// SM's staged `(addr, value)` pairs in program order — a forward scan
 /// taking the last match gives latest-write-wins. The overlay is tiny (one
 /// SM's writes from one cycle) and usually empty, so the scan is cheaper

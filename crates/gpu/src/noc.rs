@@ -88,7 +88,7 @@ impl<T> DelayQueue<T> {
 
     /// Pushes an item at time `now` without a capacity check.
     ///
-    /// Used by the barrier phase of the tick: each producer reserved its
+    /// Used by the commit phase of the tick: each producer reserved its
     /// slots against a cycle-start snapshot of `free()`, and because every
     /// producer sees the *same* snapshot the sum of reservations can exceed
     /// the true remaining capacity by design — the queue absorbs the

@@ -10,20 +10,16 @@
 //! DRAM timing parameter and every DMS/AMS window is honored in memory cycles
 //! exactly as in the paper.
 //!
-//! # Phased parallel tick
+//! # Phased tick
 //!
-//! Each executed cycle runs as four phases: SMs tick in parallel against a
-//! read-only memory image, staging their outbound requests and functional
-//! writes (phase A); the staged effects commit in ascending SM order at a
-//! barrier (phase B); the six memory partitions — L2 slice, controller,
-//! DRAM channel — tick in parallel, staging replies (phase C); and the
-//! staged replies merge into the reply NoC in ascending slice order
-//! (phase D). `LAZYDRAM_CORES` (or [`Simulator::with_cores`]) sets how many
-//! threads a [`WorkerPool`] may spread phases A and C over; because the
-//! phases and the canonical merge orders *are* the semantics, every thread
-//! count — including 1, which runs everything inline — produces
-//! **bit-identical** results. See `DESIGN.md` §12 for the equivalence
-//! argument.
+//! Each executed cycle runs as four phases: SMs tick against a read-only
+//! memory image, staging their outbound requests and functional writes
+//! (phase A); the staged effects commit in ascending SM order (phase B);
+//! the six memory partitions — L2 slice, controller, DRAM channel — tick,
+//! staging replies (phase C); and the staged replies merge into the reply
+//! NoC in ascending slice order (phase D). The phases and their canonical
+//! merge orders *are* the semantics: an SM never observes another SM's
+//! writes or requests within the cycle it issues them. See `DESIGN.md` §12.
 //!
 //! # Event-driven fast-forward
 //!
@@ -68,13 +64,12 @@
 use crate::kernel::Kernel;
 use crate::memimg::MemoryImage;
 use crate::noc::DelayQueue;
-use crate::pool::{SharedSlice, WorkerPool};
 use crate::slice::Slice;
 use crate::trace::{Trace, TraceEntry};
 use crate::sm::{Reply, Sm, SmCtx, SliceReq, SmStage};
 use lazydram_common::prof::{self, Phase};
 use lazydram_common::snap::{digest, list_frames, FrameInfo, Loader, Saver, SnapError, SnapResult};
-use lazydram_common::{AddressMap, GpuConfig, ProfReport, SchedConfig, SimStats};
+use lazydram_common::{AddressMap, GpuConfig, SchedConfig, SimStats};
 use lazydram_core::{MemoryController, Response};
 use std::sync::OnceLock;
 
@@ -156,44 +151,6 @@ fn no_compute_skip_from_env() -> bool {
     *NO_COMPUTE_SKIP.get_or_init(|| match std::env::var("LAZYDRAM_NO_COMPUTE_SKIP") {
         Ok(s) => parse_no_compute_skip(&s).unwrap_or_else(|e| panic!("{e}")),
         Err(_) => false,
-    })
-}
-
-/// Parses a `LAZYDRAM_CORES` value: how many threads (the calling thread
-/// included) the phased tick may use. Must be an integer >= 1. Results are
-/// bit-identical at every value; only wall-clock changes.
-///
-/// Kept separate from the env lookup so the validation is unit-testable.
-///
-/// # Errors
-///
-/// Returns a description of the expected format on anything else.
-pub fn parse_cores(s: &str) -> Result<usize, String> {
-    match s.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "LAZYDRAM_CORES={s:?} is not a thread count; expected an integer \
-             >= 1 (1 disables the worker pool entirely)"
-        )),
-    }
-}
-
-/// `LAZYDRAM_CORES` from the environment (cached; default 1).
-///
-/// This is the process-wide default [`Simulator::with_cores`] starts from;
-/// sweep runners read it too, to warn when `LAZYDRAM_JOBS x LAZYDRAM_CORES`
-/// oversubscribes the host.
-///
-/// # Panics
-///
-/// Panics on a malformed value instead of silently falling back to one
-/// thread — a typo here would invisibly turn a scaling experiment
-/// single-threaded.
-pub fn cores_from_env() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| match std::env::var("LAZYDRAM_CORES") {
-        Ok(s) => parse_cores(&s).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => 1,
     })
 }
 
@@ -373,18 +330,9 @@ struct LaunchMachine {
     /// The subset of `cycles_skipped` classified as compute-skip: spans
     /// where at least one SM replayed `Computing` warps analytically.
     compute_cycles_skipped: u64,
-    /// Per-SM staging areas for phase A of the tick. Transient: drained at
-    /// the phase-B barrier every cycle, so they are always empty between
-    /// cycles and are never serialized.
+    /// Per-SM staging areas for phase A of the tick. Transient: consumed in
+    /// phase B and reset at the next phase A, so they are never serialized.
     stages: Vec<SmStage>,
-    /// Per-partition controller response scratch for phase C. Transient:
-    /// drained into the owning slice within the phase.
-    resp_bufs: Vec<Vec<Response>>,
-    /// Wall-clock phase totals accumulated by pool worker threads over this
-    /// launch. Transient: folded into the run statistics by
-    /// [`LaunchMachine::fold_into`], never serialized (profiling data is
-    /// excluded from checkpoints and stats equality).
-    worker_prof: ProfReport,
 }
 
 impl LaunchMachine {
@@ -428,8 +376,6 @@ impl LaunchMachine {
             stages: (0..cfg.num_sms)
                 .map(|_| SmStage::new(cfg.num_channels))
                 .collect(),
-            resp_bufs: vec![Vec::new(); cfg.num_channels],
-            worker_prof: ProfReport::default(),
         }
     }
 
@@ -580,7 +526,6 @@ pub struct Simulator {
     capture_trace: bool,
     cycle_skipping: bool,
     compute_skipping: bool,
-    cores: usize,
 }
 
 /// Outcome of driving one launch's machine.
@@ -636,7 +581,6 @@ impl Simulator {
             capture_trace: false,
             cycle_skipping: !no_skip_from_env(),
             compute_skipping: !no_compute_skip_from_env(),
-            cores: cores_from_env(),
         }
     }
 
@@ -667,24 +611,6 @@ impl Simulator {
     /// way, only wall-clock changes.
     pub fn with_compute_skipping(mut self, enabled: bool) -> Self {
         self.compute_skipping = enabled;
-        self
-    }
-
-    /// Overrides the phased tick's thread budget (the `LAZYDRAM_CORES`
-    /// environment default). The budget includes the calling thread, so `1`
-    /// disables the worker pool; the pool itself further caps the count at
-    /// the host's available parallelism (see [`WorkerPool::new`]).
-    ///
-    /// Results are bit-identical at every value — the setting is
-    /// deliberately *excluded* from the checkpoint config fingerprint, so a
-    /// checkpoint taken at one width resumes at any other.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cores` is zero.
-    pub fn with_cores(mut self, cores: usize) -> Self {
-        assert!(cores >= 1, "the tick needs at least the calling thread");
-        self.cores = cores;
         self
     }
 
@@ -1084,17 +1010,13 @@ impl Simulator {
     /// Each executed cycle is a *phased tick* (see `DESIGN.md` §12):
     ///
     /// * **A** — every SM ticks against a read-only memory image and a
-    ///   private staging area (parallel over SMs);
+    ///   private staging area;
     /// * **B** — staged image writes and NoC requests commit in ascending
-    ///   SM order, then new warps dispatch (sequential barrier);
+    ///   SM order, then new warps dispatch;
     /// * **C** — every memory partition (slice + controller) ticks against
-    ///   its own queues, staging replies (parallel over partitions);
+    ///   its own queues, staging replies;
     /// * **D** — staged replies merge into the reply NoC in ascending slice
-    ///   order (sequential barrier), and the termination check runs.
-    ///
-    /// The phases *are* the semantics at every thread count; the worker
-    /// pool only changes which thread executes a shard, so results are
-    /// bit-identical for every `cores` value.
+    ///   order, and the termination check runs.
     fn run_machine(
         &self,
         kernel: &dyn Kernel,
@@ -1104,7 +1026,6 @@ impl Simulator {
         pause_at: Option<u64>,
     ) -> StepOutcome {
         let cfg = &self.cfg;
-        let mut pool = WorkerPool::new(self.cores);
         let LaunchMachine {
             map,
             sms,
@@ -1121,13 +1042,9 @@ impl Simulator {
             cycles_skipped,
             compute_cycles_skipped,
             stages,
-            resp_bufs,
-            worker_prof,
         } = m;
         let compute_skipping = self.compute_skipping;
         let total_warps = *total_warps;
-        let n_sms = sms.len();
-        let n_parts = slices.len();
         let core_hz = u64::from(cfg.core_clock_mhz);
         let mem_hz = u64::from(cfg.mem_clock_mhz);
         let limit = self.limits.max_core_cycles;
@@ -1135,12 +1052,12 @@ impl Simulator {
         // target lies before this launch (pause immediately).
         let pause = pause_at.map(|t| t.saturating_sub(prior_cycles));
         // Cycle-start request-NoC occupancy snapshot (refilled per cycle)
-        // and per-controller event scratch for the fast-forward scan; both
-        // allocated once so the loop body stays allocation-free.
+        // and controller response scratch; both allocated once so the loop
+        // body stays allocation-free.
         let mut free0: Vec<usize> = Vec::with_capacity(req_noc.len());
-        let mut mc_events: Vec<u64> = vec![0; mcs.len()];
+        let mut resp_buf: Vec<Response> = Vec::new();
 
-        let outcome = loop {
+        loop {
             // 0. Fast-forward over provably idle — or busy but analytically
             //    predictable — cycles. Runs at the top of the iteration,
             //    before the next cycle executes, so a resumed run re-derives
@@ -1151,7 +1068,7 @@ impl Simulator {
                 let _t_ff = prof::enter(Phase::FastForward);
                 let mut target = next_interesting_cycle(
                     *core_cycle, limit, *acc, core_hz, mem_hz, *mem_time, compute_skipping,
-                    sms, slices, req_noc, reply_noc, mcs, &pool, &mut mc_events,
+                    sms, slices, req_noc, reply_noc, mcs,
                 );
                 if let Some(p) = pause {
                     // Never skip past the pause point: any prefix of a
@@ -1209,43 +1126,36 @@ impl Simulator {
             *ticks_executed += 1;
             let now = *core_cycle;
 
-            // Phase A: deliver replies and issue from each SM, one shard
-            // per SM. Every shard sees the same read-only image and the
-            // same cycle-start NoC occupancy snapshot; all effects land in
-            // the shard's private `SmStage`.
+            // Phase A: deliver replies and issue from each SM. Every SM
+            // sees the same read-only image and the same cycle-start NoC
+            // occupancy snapshot; all effects land in its private `SmStage`.
             {
+                let _t = prof::enter(Phase::SmIssue);
                 free0.clear();
                 free0.extend(req_noc.iter().map(|q| q.free()));
-                let sms_sh = SharedSlice::new(&mut sms[..]);
-                let replies_sh = SharedSlice::new(&mut reply_noc[..]);
-                let stages_sh = SharedSlice::new(&mut stages[..]);
-                let image_ref: &MemoryImage = image;
-                let map_ref: &AddressMap = map;
-                let free0_ref: &[usize] = &free0;
-                pool.run(n_sms, Phase::SmIssue, &|i| {
-                    // SAFETY: the pool hands each shard index to exactly
-                    // one executing thread.
-                    let sm = unsafe { sms_sh.get(i) };
-                    let replies = unsafe { replies_sh.get(i) };
-                    let stage = unsafe { stages_sh.get(i) };
+                for ((sm, replies), stage) in sms
+                    .iter_mut()
+                    .zip(reply_noc.iter_mut())
+                    .zip(stages.iter_mut())
+                {
                     while let Some(reply) = replies.pop_ready(now) {
-                        sm.on_reply(reply, image_ref);
+                        sm.on_reply(reply, image);
                     }
-                    stage.begin_cycle(free0_ref);
+                    stage.begin_cycle(&free0);
                     let mut ctx = SmCtx {
-                        image: image_ref,
-                        map: map_ref,
+                        image,
+                        map,
                         kernel,
                         stage,
                     };
                     sm.tick(&mut ctx);
-                });
+                }
             }
 
-            // Phase B (barrier): commit staged effects in ascending SM
-            // order — functional writes first, then the SM's requests in
-            // stage order — and greedily dispatch new warps. The canonical
-            // order makes the result independent of phase-A scheduling.
+            // Phase B: commit staged effects in ascending SM order —
+            // functional writes first, then the SM's requests in stage
+            // order — and greedily dispatch new warps. The canonical order
+            // makes the result independent of the order phase A ran in.
             {
                 let _t = prof::enter(Phase::SmIssue);
                 for (sm, stage) in sms.iter_mut().zip(stages.iter_mut()) {
@@ -1274,32 +1184,23 @@ impl Simulator {
                     *mem_time += 1;
                     mem_ticks += 1;
                 }
-                let slices_sh = SharedSlice::new(&mut slices[..]);
-                let mcs_sh = SharedSlice::new(&mut mcs[..]);
-                let req_sh = SharedSlice::new(&mut req_noc[..]);
-                let bufs_sh = SharedSlice::new(&mut resp_bufs[..]);
-                let image_ref: &MemoryImage = image;
-                let map_ref: &AddressMap = map;
-                pool.run(n_parts, Phase::Slice, &|i| {
-                    // SAFETY: one executing thread per shard index (above).
-                    let slice = unsafe { slices_sh.get(i) };
-                    let mc = unsafe { mcs_sh.get(i) };
-                    let incoming = unsafe { req_sh.get(i) };
-                    let buf = unsafe { bufs_sh.get(i) };
-                    slice.tick(now, incoming, mc, image_ref, map_ref);
+                let _t = prof::enter(Phase::Slice);
+                for ((slice, mc), incoming) in slices
+                    .iter_mut()
+                    .zip(mcs.iter_mut())
+                    .zip(req_noc.iter_mut())
+                {
+                    slice.tick(now, incoming, mc, image, map);
                     let _t = prof::enter(Phase::Controller);
                     for _ in 0..mem_ticks {
-                        buf.clear();
-                        mc.tick(buf);
-                        for &resp in buf.iter() {
-                            slice.responses.push_back(resp);
-                        }
+                        mc.tick(&mut resp_buf);
+                        slice.responses.extend(resp_buf.drain(..));
                     }
-                });
+                }
             }
 
-            // Phase D (barrier): merge staged replies into the reply NoC
-            // in ascending slice order, stalled retries first.
+            // Phase D: merge staged replies into the reply NoC in ascending
+            // slice order, stalled retries first.
             {
                 let _t = prof::enter(Phase::Slice);
                 for slice in slices.iter_mut() {
@@ -1318,10 +1219,7 @@ impl Simulator {
             {
                 break StepOutcome::Finished { hit_limit: false };
             }
-        };
-
-        worker_prof.merge(&pool.shutdown());
-        outcome
+        }
     }
 }
 
@@ -1388,10 +1286,8 @@ impl LaunchMachine {
         total.dram.mem_cycles = prior_cycles + launch_dram.mem_cycles;
 
         // Fold this launch's wall-clock phase breakdown into the run stats
-        // (empty unless the `prof` feature is enabled): the coordinating
-        // thread's totals plus whatever the pool workers accumulated.
+        // (empty unless the `prof` feature is enabled).
         total.prof.merge(&prof::take());
-        total.prof.merge(&std::mem::take(&mut self.worker_prof));
     }
 }
 
@@ -1417,8 +1313,6 @@ fn next_interesting_cycle(
     req_noc: &[DelayQueue<SliceReq>],
     reply_noc: &[DelayQueue<Reply>],
     mcs: &mut [MemoryController],
-    pool: &WorkerPool,
-    mc_events: &mut [u64],
 ) -> u64 {
     let mut next = limit.saturating_add(1);
     if next <= now + 1 || slices.iter().any(Slice::has_work) {
@@ -1469,26 +1363,11 @@ fn next_interesting_cycle(
     if next == now + 1 {
         return next;
     }
-    // Memory-side events arrive in memory cycles. Each controller's scan
-    // (in-flight completions, DMS expiries, window boundaries) is the
-    // expensive part, so it runs as one pool shard per controller; the
-    // min-reduce below happens on the coordinating thread, which keeps the
-    // result deterministic regardless of shard scheduling.
-    {
-        let n_mcs = mcs.len();
-        let mcs_sh = SharedSlice::new(mcs);
-        let events_sh = SharedSlice::new(mc_events);
-        pool.run(n_mcs, Phase::FastForward, &|i| {
-            // SAFETY: one executing thread per shard index.
-            let mc = unsafe { mcs_sh.get(i) };
-            *unsafe { events_sh.get(i) } = mc.next_event_cycle().unwrap_or(u64::MAX);
-        });
-    }
-    // Map the j-th future memory tick back to the core cycle whose
-    // accumulator step fires it: the smallest k >= 1 with
-    // acc + k * mem_hz >= j * core_hz.
-    for &me in mc_events.iter() {
-        if me != u64::MAX {
+    // Memory-side events arrive in memory cycles. Map the j-th future
+    // memory tick back to the core cycle whose accumulator step fires it:
+    // the smallest k >= 1 with acc + k * mem_hz >= j * core_hz.
+    for mc in mcs.iter_mut() {
+        if let Some(me) = mc.next_event_cycle() {
             debug_assert!(me > mem_time, "memory event must lie in the future");
             let j = u128::from(me - mem_time);
             let need = j * u128::from(core_hz) - u128::from(acc);
@@ -1551,20 +1430,5 @@ mod tests {
         assert!(parse_no_compute_skip("yes").is_err());
         assert!(parse_no_compute_skip("").is_err());
         assert!(parse_no_compute_skip("2").is_err());
-    }
-
-    #[test]
-    fn parse_cores_accepts_positive_integers() {
-        assert_eq!(parse_cores("1"), Ok(1));
-        assert_eq!(parse_cores(" 8 "), Ok(8));
-    }
-
-    #[test]
-    fn parse_cores_rejects_garbage() {
-        assert!(parse_cores("0").is_err());
-        assert!(parse_cores("").is_err());
-        assert!(parse_cores("-2").is_err());
-        assert!(parse_cores("all").is_err());
-        assert!(parse_cores("1.5").is_err());
     }
 }

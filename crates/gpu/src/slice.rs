@@ -37,8 +37,8 @@ pub(crate) struct Slice {
     wb_buffer: VecDeque<u64>,
     /// Replies that could not enter the reply NoC yet.
     reply_retry: VecDeque<(usize, Reply)>,
-    /// Replies produced this cycle (phase C), merged into the reply NoC at
-    /// the phase-D barrier by [`Slice::flush_replies`]. Always empty
+    /// Replies produced this cycle (phase C), merged into the reply NoC in
+    /// phase D by [`Slice::flush_replies`]. Always empty
     /// between cycles.
     staged_replies: Vec<(usize, Reply)>,
     /// Per-slice request-id counter; ids are globally unique via the
@@ -78,8 +78,7 @@ impl Slice {
     /// Allocates the next request id: the slice-local counter shifted past
     /// a 3-bit slice tag. Ids are globally unique and monotonic per slice,
     /// and — unlike a machine-global counter — independent of the order in
-    /// which slices tick, which is what lets phase C run slices on worker
-    /// threads without renumbering requests.
+    /// which phase C ticks the slices.
     fn alloc_id(&mut self) -> RequestId {
         self.next_id += 1;
         RequestId((self.next_id << 3) | self.id as u64)
@@ -184,10 +183,9 @@ impl Slice {
 
     /// One core cycle of slice work (phase C of the phased tick). Touches
     /// only partition-local state — this slice, its controller, its
-    /// incoming queue — plus the shared image read-only, so the six
-    /// partitions tick concurrently. Replies are staged;
-    /// [`Slice::flush_replies`] merges them into the reply NoC at the
-    /// phase-D barrier.
+    /// incoming queue — plus the shared image read-only, so the order in
+    /// which the six partitions tick is unobservable. Replies are staged;
+    /// [`Slice::flush_replies`] merges them into the reply NoC in phase D.
     pub fn tick(
         &mut self,
         now: u64,
@@ -293,8 +291,8 @@ impl Slice {
 
     /// Phase D: merges this slice's replies into the reply NoC, retries
     /// first (oldest work, matching the sequential loop's step 0), then the
-    /// replies staged this cycle. Runs on the coordinating thread in
-    /// ascending slice order, so the NoC contents are canonical.
+    /// replies staged this cycle. Runs in ascending slice order, so the NoC
+    /// contents are canonical.
     pub fn flush_replies(&mut self, now: u64, reply_noc: &mut [DelayQueue<Reply>]) {
         while let Some((sm, reply)) = self.reply_retry.pop_front() {
             if reply_noc[sm].push(now, reply).is_err() {

@@ -184,19 +184,18 @@ fn engines_are_bit_identical_on_every_backend() {
         let build = || {
             SimBuilder::new(&app).preset(preset).scheme(Scheme::DynCombo).scale(SCALE)
         };
-        let reference = build().cycle_skipping(false).cores(1).build().run();
+        let reference = build().cycle_skipping(false).build().run();
         assert!(!reference.hit_cycle_limit, "{preset}");
-        for (label, run) in [
-            ("cycle_skipping", build().cycle_skipping(true).build().run()),
-            ("cores(4)", build().cores(4).build().run()),
-        ] {
-            assert_eq!(run.output, reference.output, "{preset}/{label}: outputs");
-            assert_eq!(
-                normalized(&run.stats),
-                normalized(&reference.stats),
-                "{preset}/{label}: statistics"
-            );
-        }
+        let run = build().cycle_skipping(true).build().run();
+        assert_eq!(
+            run.output, reference.output,
+            "{preset}/cycle_skipping: outputs"
+        );
+        assert_eq!(
+            normalized(&run.stats),
+            normalized(&reference.stats),
+            "{preset}/cycle_skipping: statistics"
+        );
     }
 }
 
