@@ -25,7 +25,7 @@ pub use lazydram_workloads::{
     CachePolicy, CheckpointPolicy, SimBuilder, SimRun, TraceMode, TracePolicy,
     DEFAULT_CHECKPOINT_EVERY,
 };
-pub use runner::{Baseline, Job, JobFailure, JobResult, MeasureSpec, SweepRunner};
+pub use runner::{Baseline, ExactOutput, Job, JobFailure, JobResult, MeasureSpec, SweepRunner};
 pub use store::{CacheStats, EntryInfo, Fidelity, Store};
 
 /// Default work scale for the benchmark harnesses. Chosen so the whole
@@ -198,9 +198,9 @@ impl Measurement {
 ///
 /// `exact` is the functional reference output (compute it once per app with
 /// [`lazydram_workloads::exact_output`] and share it across schemes — the
-/// [`SweepRunner`] baseline cache does this automatically). Checkpoint-IO
-/// failures on a crash-recoverable run panic; [`try_measure`] surfaces them
-/// as `Err` instead.
+/// [`SweepRunner`] baseline cache does this automatically, through one lazy
+/// [`ExactOutput`] per app). Checkpoint-IO failures on a crash-recoverable
+/// run panic; [`try_measure`] surfaces them as `Err` instead.
 pub fn measure(run: &SimRun, exact: &[f32]) -> Measurement {
     try_measure(run, exact).unwrap_or_else(|e| panic!("{e}"))
 }

@@ -15,10 +15,13 @@
 //!   [`std::panic::catch_unwind`]; one panicking simulation becomes a
 //!   [`JobFailure`] (rendered by harnesses as a `FAIL` row) instead of
 //!   killing the whole sweep.
-//! * **Baseline sharing** — `(app, config, scale)` baseline measurements and
-//!   exact functional outputs are computed once in a concurrent cache and
-//!   shared across schemes, instead of once per figure as the sequential
-//!   harnesses used to do.
+//! * **Baseline sharing** — `(app, config, scale)` baseline measurements are
+//!   computed once in a concurrent cache and shared across schemes, instead
+//!   of once per figure as the sequential harnesses used to do. The app's
+//!   exact functional output rides along as a lazy [`ExactOutput`] handle:
+//!   it is computed on the first result-cache miss that actually simulates
+//!   on the execute route, at most once per app, and never on a warm (or
+//!   `require`-mode) sweep served wholly from the store.
 //! * **Observability** — per-job wall-clock timing and `[k/n]` progress
 //!   lines on stderr, plus an optional JSONL results file
 //!   (`LAZYDRAM_RESULTS=path`) with one schema-stable [`Measurement`]
@@ -120,6 +123,41 @@ impl<'a, T> Job<'a, T> {
     }
 }
 
+/// An app's exact functional output (the application-error reference),
+/// computed on the first [`get`](Self::get) and shared from then on.
+///
+/// Computing it is a full functional run of every kernel launch of the app,
+/// so the runner forces it only where a cell simulates on the execute
+/// route; cache hits and trace replays never need it.
+pub struct ExactOutput {
+    app: AppSpec,
+    scale: f64,
+    output: OnceLock<Vec<f32>>,
+}
+
+impl ExactOutput {
+    /// A not-yet-computed reference output for `app` at `scale`.
+    pub fn new(app: &AppSpec, scale: f64) -> Self {
+        Self { app: app.clone(), scale, output: OnceLock::new() }
+    }
+
+    /// The exact output, computing it on the first call. Concurrent first
+    /// callers block until the single computation finishes.
+    pub fn get(&self) -> &[f32] {
+        self.output.get_or_init(|| exact_output(&self.app, self.scale))
+    }
+}
+
+impl std::fmt::Debug for ExactOutput {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExactOutput")
+            .field("app", &self.app.name)
+            .field("scale", &self.scale)
+            .field("computed", &self.output.get().is_some())
+            .finish()
+    }
+}
+
 /// A cached `(app, config, scale)` baseline: the measurement under
 /// [`SchedConfig::baseline`] plus the exact functional output shared by
 /// every scheme of that app.
@@ -127,8 +165,9 @@ impl<'a, T> Job<'a, T> {
 pub struct Baseline {
     /// Baseline measurement (scheme label `"baseline"`).
     pub measurement: Measurement,
-    /// Exact functional output (application-error reference).
-    pub exact: Arc<Vec<f32>>,
+    /// Exact functional output (application-error reference), computed
+    /// lazily: a baseline served from the result store leaves it unset.
+    pub exact: Arc<ExactOutput>,
 }
 
 /// Everything needed to run one `(app, scheme)` measurement job: the fully
@@ -138,12 +177,12 @@ pub struct MeasureSpec {
     /// The configured simulation (app, scheme, machine, scale, …).
     pub builder: SimBuilder,
     /// Exact output shared across the app's schemes.
-    pub exact: Arc<Vec<f32>>,
+    pub exact: Arc<ExactOutput>,
 }
 
 impl MeasureSpec {
     /// Pairs a configured builder with its app's exact reference output.
-    pub fn new(builder: SimBuilder, exact: Arc<Vec<f32>>) -> Self {
+    pub fn new(builder: SimBuilder, exact: Arc<ExactOutput>) -> Self {
         Self { builder, exact }
     }
 }
@@ -371,7 +410,7 @@ impl SweepRunner {
             .or_insert_with(|| Arc::new(OnceLock::new()))
             .clone();
         cell.get_or_init(|| {
-            let exact = Arc::new(exact_output(app, scale));
+            let exact = Arc::new(ExactOutput::new(app, scale));
             // With a trace policy attached, the baseline run doubles as the
             // capture run: it records the request stream and parks it in
             // the trace store for the sweep cells to replay. The baseline
@@ -402,7 +441,7 @@ impl SweepRunner {
             let key = Store::cell_key(builder.cell_digest(), Fidelity::Execute);
             let run = builder.build();
             let (measurement, trace) =
-                try_measure_traced(&run, &exact).unwrap_or_else(|e| panic!("{e}"));
+                try_measure_traced(&run, exact.get()).unwrap_or_else(|e| panic!("{e}"));
             self.cache_publish(key, &measurement);
             if let (Some(policy), Some(trace)) = (&self.traces, trace) {
                 let path = policy.path_for(app.name, cfg, scale);
@@ -528,7 +567,9 @@ impl SweepRunner {
     /// `ipc`/`app_error`), and a replay-mode cell whose trace is missing
     /// must fail identically whether or not some earlier sweep published an
     /// entry — warm and cold runs stay byte-identical.
-    fn measure_one(&self, builder: SimBuilder, exact: &[f32]) -> Result<Measurement, String> {
+    ///
+    /// The exact output is forced only on an execute-route miss.
+    fn measure_one(&self, builder: SimBuilder, exact: &ExactOutput) -> Result<Measurement, String> {
         let mut replay_path = None;
         if let Some(policy) = &self.traces {
             if policy.mode != TraceMode::Capture {
@@ -561,7 +602,7 @@ impl SweepRunner {
                 let trace = self.load_trace(&path, builder.gpu_config())?;
                 try_measure_replay(&builder.build(), &trace)?
             }
-            None => try_measure(&builder.build(), exact)?,
+            None => try_measure(&builder.build(), exact.get())?,
         };
         self.cache_publish(key, &m);
         Ok(m)
@@ -706,5 +747,88 @@ pub fn pct_cell(result: &JobResult<Measurement>, value: impl Fn(&Measurement) ->
     match result {
         Ok(m) => format!("{:.1}%", 100.0 * value(m)),
         Err(_) => "FAIL".to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lazydram_common::{DmsMode, SchedConfig};
+    use lazydram_workloads::{by_name, CachePolicy};
+
+    const SCALE: f64 = 0.05;
+
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("lazydram_runner_exact_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Static-DMS cells of `app` at delays 128 and 512, sharing `exact`.
+    fn dms_cells(app: &AppSpec, exact: &Arc<ExactOutput>) -> Vec<MeasureSpec> {
+        [128u32, 512]
+            .map(|delay| {
+                let sched = SchedConfig { dms: DmsMode::Static(delay), ..SchedConfig::baseline() };
+                let builder = SimBuilder::new(app).sched(sched, format!("DMS({delay})")).scale(SCALE);
+                MeasureSpec::new(builder, exact.clone())
+            })
+            .to_vec()
+    }
+
+    /// Baselines plus the DMS cells of SCP and GEMM; returns the baselines
+    /// and every measurement's JSON (baselines first).
+    fn sweep(runner: &SweepRunner) -> (Vec<Arc<Baseline>>, Vec<String>) {
+        let apps: Vec<_> = ["SCP", "GEMM"].iter().map(|n| by_name(n).expect("app")).collect();
+        let bases: Vec<Arc<Baseline>> = runner
+            .baselines(&apps, &GpuConfig::default(), SCALE)
+            .into_iter()
+            .map(|b| b.expect("baseline runs"))
+            .collect();
+        let specs = apps.iter().zip(&bases).flat_map(|(app, b)| dms_cells(app, &b.exact)).collect();
+        let mut json: Vec<String> = bases.iter().map(|b| b.measurement.to_json()).collect();
+        json.extend(runner.measure_all(specs).into_iter().map(|r| r.expect("cell runs").to_json()));
+        (bases, json)
+    }
+
+    #[test]
+    fn warm_sweep_never_computes_exact_outputs() {
+        let dir = fresh_dir("warm");
+        let cached = |mode| {
+            SweepRunner::with_workers(2).quiet().with_cache(Some(CachePolicy::new(&dir, mode)))
+        };
+
+        let (cold_bases, cold) = sweep(&cached(CacheMode::Auto));
+        assert!(
+            cold_bases.iter().all(|b| b.exact.output.get().is_some()),
+            "a cold baseline simulates, so it computes its exact output"
+        );
+
+        for mode in [CacheMode::Auto, CacheMode::Require] {
+            let (warm_bases, warm) = sweep(&cached(mode));
+            assert_eq!(cold, warm, "{mode:?}: warm results must equal the cold ones");
+            assert!(
+                warm_bases.iter().all(|b| b.exact.output.get().is_none()),
+                "{mode:?}: a sweep served from the store must not compute exact outputs"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_cells_never_compute_exact_outputs() {
+        let dir = fresh_dir("replay");
+        let runner = SweepRunner::with_workers(2)
+            .quiet()
+            .with_traces(Some(TracePolicy::new(&dir, TraceMode::Auto)));
+        let app = by_name("SCP").expect("app");
+        // The baseline captures the trace the cells replay.
+        runner.baseline(&app, &GpuConfig::default(), SCALE);
+        let exact = Arc::new(ExactOutput::new(&app, SCALE));
+        for cell in runner.measure_all(dms_cells(&app, &exact)) {
+            assert!(cell.expect("replay cell runs").replayed, "the cell took the replay route");
+        }
+        assert!(exact.output.get().is_none(), "a replay cell must not force its exact output");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

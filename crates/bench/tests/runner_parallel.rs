@@ -101,5 +101,5 @@ fn baseline_cache_returns_same_measurement_as_fresh_computation() {
         fresh.to_json(),
         "cached baseline must equal a fresh sequential computation"
     );
-    assert_eq!(*cached.exact, fresh_exact, "exact outputs must match");
+    assert_eq!(cached.exact.get(), fresh_exact, "exact outputs must match");
 }

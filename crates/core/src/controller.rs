@@ -213,6 +213,7 @@ impl MemoryController {
         // rows (one per cycle) and issue the refresh before normal work.
         if self.backend.refresh_due(now) {
             if self.backend.can_refresh(now) {
+                let _t = prof::enter(Phase::Dram);
                 self.backend.refresh(now);
                 return;
             }
@@ -221,6 +222,7 @@ impl MemoryController {
                 let bank = open.trailing_zeros() as usize;
                 open &= open - 1;
                 if self.backend.can_precharge(bank, now) {
+                    let _t = prof::enter(Phase::Dram);
                     self.backend.precharge(bank, now);
                     return;
                 }
@@ -356,7 +358,10 @@ impl MemoryController {
         }
         if let Some((_, id, bank)) = best {
             let req = self.queue.remove(id).expect("candidate still queued");
-            let done = self.backend.cas(bank, req.kind, req.is_global_read(), now);
+            let done = {
+                let _t = prof::enter(Phase::Dram);
+                self.backend.cas(bank, req.kind, req.is_global_read(), now)
+            };
             if req.kind == AccessKind::Read {
                 self.inflight.push_back(Inflight {
                     ready_at: done,
@@ -380,6 +385,7 @@ impl MemoryController {
                 scan &= scan - 1;
                 let open = self.backend.open_row(bank).expect("bank in open mask");
                 if !self.queue.any_for_row(bank, open) && self.backend.can_precharge(bank, now) {
+                    let _t = prof::enter(Phase::Dram);
                     self.backend.precharge(bank, now);
                     return;
                 }
@@ -499,6 +505,7 @@ impl MemoryController {
             }
             if needs_pre {
                 if self.backend.can_precharge(bank, now) {
+                    let _t = prof::enter(Phase::Dram);
                     self.backend.precharge(bank, now);
                     return;
                 }
@@ -511,6 +518,7 @@ impl MemoryController {
                     .loc
                     .row;
                 if self.backend.can_activate(bank, now) {
+                    let _t = prof::enter(Phase::Dram);
                     self.backend.activate(bank, row, now);
                     return;
                 }

@@ -108,8 +108,9 @@ echo "full / idle-only / naive loop modes byte-identical"
 echo "== tier1: result-cache smoke =="
 # Cross-sweep caching must be invisible in the results: the same fig04/SCP
 # sweep runs cold (populating the store) and warm (served from it); stdout
-# and JSONL must be byte-identical, the warm run must actually hit (the
-# end-of-sweep summary reports the counters), and nothing may fail. A
+# and JSONL must be byte-identical, the warm run must actually hit and
+# never miss (the end-of-sweep summary reports the counters; a miss means a
+# cell re-simulated), and nothing may fail. A
 # require-mode pass proves the store alone can serve the whole sweep.
 LAZYDRAM_APPS=SCP LAZYDRAM_SCALE=0.05 LAZYDRAM_QUIET=1 \
 LAZYDRAM_RESULTS="$CKPT_TMP/cc.jsonl" \
@@ -123,6 +124,8 @@ cmp "$CKPT_TMP/cc.jsonl" "$CKPT_TMP/cw.jsonl"
 cmp "$CKPT_TMP/cc.out" "$CKPT_TMP/cw.out"
 grep -E 'cache: [1-9][0-9]* hits' "$CKPT_TMP/cw.err" > /dev/null || {
     echo "warm sweep reported no cache hits" >&2; cat "$CKPT_TMP/cw.err" >&2; exit 1; }
+grep -E ', 0 misses,' "$CKPT_TMP/cw.err" > /dev/null || {
+    echo "warm sweep missed the store (re-simulated cells)" >&2; cat "$CKPT_TMP/cw.err" >&2; exit 1; }
 if grep -q '"record":"failure"' "$CKPT_TMP/cw.jsonl"; then
     echo "cache smoke produced failure records" >&2; exit 1
 fi
