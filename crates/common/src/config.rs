@@ -181,7 +181,8 @@ pub struct GpuConfig {
     pub bank_groups: usize,
     /// Bytes per DRAM row (page) per bank.
     pub row_bytes: usize,
-    /// Cache-line (DRAM burst) size in bytes.
+    /// Cache-line (DRAM burst) size in bytes. The simulator models 128-byte
+    /// lines only; `Simulator::new` rejects any other value.
     pub line_bytes: usize,
     /// Channel-interleaving chunk size in bytes (256 in the baseline).
     pub chunk_bytes: usize,

@@ -235,9 +235,15 @@ impl MemoryImage {
         out.copy_from_slice(self.line_words(line));
     }
 
-    /// Reads one `f32` per lane address into `out` (cleared first). The
-    /// backing line is resolved once per run of same-line addresses instead
-    /// of once per lane — the warp-coalescing fast path.
+    /// Reads one `f32` per lane address into `out` (cleared first) — the
+    /// warp-coalescing fast path.
+    ///
+    /// Lanes move in *runs*: a run is a maximal sequence of two or more
+    /// lanes reading consecutive words of one line (`addr, addr + 4, ...`),
+    /// and it is copied out of the line with a single `extend_from_slice`.
+    /// Any other lane (strided, scattered or broadcast patterns) takes a
+    /// single `push`. The backing line is resolved once per run of
+    /// same-line addresses, not once per lane.
     ///
     /// # Panics
     ///
@@ -248,14 +254,33 @@ impl MemoryImage {
         out.reserve(addrs.len());
         let mut cur_line = u64::MAX;
         let mut words: &[f32] = &ZERO_LINE;
-        for &a in addrs {
+        let mut i = 0;
+        while i < addrs.len() {
+            let a = addrs[i];
             assert!(a.is_multiple_of(4), "unaligned f32 read at {a:#x}");
             let line = a & !(LINE_BYTES - 1);
             if line != cur_line {
                 cur_line = line;
                 words = self.line_words(line);
             }
-            out.push(words[((a % LINE_BYTES) / 4) as usize]);
+            let w = ((a % LINE_BYTES) / 4) as usize;
+            // A lane whose successor does not read the next word of this
+            // line starts no run.
+            if addrs.get(i + 1) != Some(&(a + 4)) || w + 1 == WORDS_PER_LINE {
+                out.push(words[w]);
+                i += 1;
+                continue;
+            }
+            // Lane `i + run` continues the run while it reads word
+            // `w + run` of this line; it is `a + 4 * run`, so aligned
+            // whenever `a` is.
+            let lanes = &addrs[i..i + (WORDS_PER_LINE - w).min(addrs.len() - i)];
+            let mut run = 2;
+            while run < lanes.len() && lanes[run] == a + 4 * run as u64 {
+                run += 1;
+            }
+            out.extend_from_slice(&words[w..w + run]);
+            i += run;
         }
     }
 

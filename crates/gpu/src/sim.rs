@@ -62,7 +62,7 @@
 //! [`Kernel`] before their dynamic state is loaded into them.
 
 use crate::kernel::Kernel;
-use crate::memimg::MemoryImage;
+use crate::memimg::{MemoryImage, LINE_BYTES};
 use crate::noc::DelayQueue;
 use crate::slice::Slice;
 use crate::trace::{Trace, TraceEntry};
@@ -573,7 +573,18 @@ struct Restored {
 impl Simulator {
     /// Creates a simulator for a GPU configuration and scheduling policy.
     /// Event-driven cycle skipping is on unless `LAZYDRAM_NO_SKIP=1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.line_bytes` is not [`LINE_BYTES`]: the coalescer,
+    /// the memory image and the value-predictor reply are built for that
+    /// one line size.
     pub fn new(cfg: GpuConfig, sched: SchedConfig) -> Self {
+        assert!(
+            cfg.line_bytes as u64 == LINE_BYTES,
+            "line_bytes = {} is unsupported: the simulator models {LINE_BYTES}-byte lines only",
+            cfg.line_bytes
+        );
         Self {
             cfg,
             sched,
@@ -1430,5 +1441,12 @@ mod tests {
         assert!(parse_no_compute_skip("yes").is_err());
         assert!(parse_no_compute_skip("").is_err());
         assert!(parse_no_compute_skip("2").is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "line_bytes = 256 is unsupported")]
+    fn simulator_rejects_unsupported_line_size() {
+        let cfg = GpuConfig { line_bytes: 256, ..GpuConfig::default() };
+        let _ = Simulator::new(cfg, SchedConfig::baseline());
     }
 }

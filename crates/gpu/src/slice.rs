@@ -12,7 +12,7 @@
 //! propagation through reuse.
 
 use crate::cache::{AccessResult, Cache};
-use crate::memimg::MemoryImage;
+use crate::memimg::{MemoryImage, WORDS_PER_LINE};
 use crate::noc::DelayQueue;
 use crate::sm::{Reply, SliceReq};
 use crate::trace::{Trace, TraceEntry};
@@ -46,7 +46,7 @@ pub(crate) struct Slice {
     /// allocate ids concurrently without coordination.
     next_id: u64,
     /// Approximate contents of L2-resident approximated lines (reuse mode).
-    approx_store: FastMap<u64, [f32; 32]>,
+    approx_store: FastMap<u64, [f32; WORDS_PER_LINE]>,
     /// Reads that returned VP-predicted values.
     pub approx_replies: u64,
     /// When enabled, every request handed to the controller is recorded.
@@ -128,8 +128,8 @@ impl Slice {
 
     /// The VP prediction for a dropped line: values of the nearest-address
     /// line resident in this slice's L2, or zeroes when none is in range.
-    fn predict(&self, line: u64, image: &MemoryImage) -> [f32; 32] {
-        let mut vals = [0.0; 32];
+    fn predict(&self, line: u64, image: &MemoryImage) -> [f32; WORDS_PER_LINE] {
+        let mut vals = [0.0; WORDS_PER_LINE];
         if let Some(neighbor) = self.l2.nearest_resident(line, self.vp_radius) {
             match self.approx_store.get(&neighbor) {
                 Some(v) => vals = *v,
@@ -410,7 +410,7 @@ impl Slice {
             let sm = l.usize("sm")?;
             let line = l.u64("line")?;
             let values = if l.bool("has_values")? {
-                let mut vals = [0.0f32; 32];
+                let mut vals = [0.0f32; WORDS_PER_LINE];
                 l.f32_array("values", &mut vals)?;
                 Some(vals)
             } else {
@@ -423,7 +423,7 @@ impl Slice {
         self.approx_store.reserve(n_as);
         for _ in 0..n_as {
             let line = l.u64("line")?;
-            let mut vals = [0.0f32; 32];
+            let mut vals = [0.0f32; WORDS_PER_LINE];
             l.f32_array("vals", &mut vals)?;
             if self.approx_store.insert(line, vals).is_some() {
                 return Err(SnapError::Malformed {

@@ -16,7 +16,7 @@
 
 use crate::cache::{AccessResult, Cache};
 use crate::kernel::{Kernel, OpBuf, OpKind, WarpProgram};
-use crate::memimg::{MemoryImage, OverlayView};
+use crate::memimg::{MemoryImage, OverlayView, LINE_BYTES, WORDS_PER_LINE};
 use crate::noc::DelayQueue;
 use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
 use lazydram_common::FastMap;
@@ -42,7 +42,7 @@ pub(crate) struct Reply {
     pub line: u64,
     /// `Some(values)` when the line was approximated by the VP unit; `None`
     /// when exact data should be read from the memory image.
-    pub values: Option<[f32; 32]>,
+    pub values: Option<[f32; WORDS_PER_LINE]>,
 }
 
 /// Blocked-load bookkeeping. Lives permanently in the slot (meaningful only
@@ -59,7 +59,7 @@ struct LoadWait {
     unsent: Vec<u64>,
     /// Value-predictor data per approximated line, linearly searched — at
     /// most one entry per coalesced line.
-    approx: Vec<(u64, [f32; 32])>,
+    approx: Vec<(u64, [f32; WORDS_PER_LINE])>,
 }
 
 impl LoadWait {
@@ -237,43 +237,33 @@ fn for_each_bit_rotated(mask: u128, start: usize, mut f: impl FnMut(usize) -> bo
     }
 }
 
-/// Appends the distinct 128-byte lines behind the lane addresses of `it` to
-/// `lines` (which starts empty), preserving first-touch order.
+/// Appends the distinct lines behind the lane addresses of `it` to `lines`
+/// (which starts empty), preserving first-touch order, in one pass.
 ///
-/// Affine per-lane patterns — `addr = base + lane * stride`, either sign,
-/// the overwhelmingly common case — produce a *monotone* line sequence, in
-/// which equal lines are always adjacent and first-touch order equals
-/// sequence order; dedup then degenerates to collapsing adjacent repeats in
-/// one O(lanes) pass. Anything non-monotone falls back to the quadratic
-/// membership scan, which is correct for arbitrary patterns.
-fn coalesce_lines(lines: &mut Vec<u64>, it: impl Iterator<Item = u64> + Clone) {
+/// A lane on the same line as the lane before it is a repeat. Otherwise, a
+/// line outside the `[lo, hi]` range of the lines pushed so far cannot
+/// have been seen, so it is pushed without a membership scan; only a line
+/// inside the range falls back to the linear `contains` scan. Affine
+/// per-lane patterns — `addr = base + lane * stride`, either sign, the
+/// overwhelmingly common case — produce a monotone line sequence and never
+/// reach the scan, so they coalesce in O(lanes); any other pattern is
+/// still exact.
+fn coalesce_lines(lines: &mut Vec<u64>, it: impl Iterator<Item = u64>) {
     debug_assert!(lines.is_empty(), "coalesce_lines fills a cleared buffer");
-    let mut rising = true;
-    let mut falling = true;
-    let mut probe = it.clone().map(|a| a & !127);
-    if let Some(mut prev) = probe.next() {
-        for l in probe {
-            rising &= prev <= l;
-            falling &= prev >= l;
-            if !(rising || falling) {
-                break;
-            }
-            prev = l;
+    // `u64::MAX` is never line-aligned, so it matches no lane's line.
+    let (mut prev, mut lo, mut hi) = (u64::MAX, u64::MAX, 0);
+    for a in it {
+        let l = a & !(LINE_BYTES - 1);
+        if l == prev {
+            continue;
         }
-    }
-    if rising || falling {
-        for a in it {
-            let l = a & !127;
-            if lines.last() != Some(&l) {
-                lines.push(l);
-            }
-        }
-    } else {
-        for a in it {
-            let l = a & !127;
-            if !lines.contains(&l) {
-                lines.push(l);
-            }
+        prev = l;
+        if l < lo || l > hi {
+            lo = lo.min(l);
+            hi = hi.max(l);
+            lines.push(l);
+        } else if !lines.contains(&l) {
+            lines.push(l);
         }
     }
 }
@@ -633,9 +623,9 @@ impl Sm {
             last_loaded.clear();
             last_loaded.reserve(wait.lane_addrs.len());
             for &addr in &wait.lane_addrs {
-                let line = addr & !127;
+                let line = addr & !(LINE_BYTES - 1);
                 match wait.approx.iter().find(|(l, _)| *l == line) {
-                    Some((_, vals)) => last_loaded.push(vals[((addr % 128) / 4) as usize]),
+                    Some((_, vals)) => last_loaded.push(vals[((addr % LINE_BYTES) / 4) as usize]),
                     None => last_loaded.push(view.read_f32(addr)),
                 }
             }
@@ -1645,6 +1635,13 @@ mod tests {
             vec![5000],                                       // single
             vec![],                                           // empty
             (0..48u64).map(|i| (i * 37) % 1024).collect(),    // scrambled
+            // GEMM-shaped: 8 broadcast lanes, then 8 rows of 32 lanes.
+            (0..8u64)
+                .map(|k| 40 + k * 4)
+                .chain((0..8u64).flat_map(|r| (0..32u64).map(move |l| 8192 + r * 1024 + l * 4)))
+                .collect(),
+            // Non-monotone repeats inside the seen range: `contains` path.
+            vec![0, 512, 256, 512, 128, 640],
         ];
         for addrs in cases {
             let mut got = Vec::new();

@@ -5,13 +5,14 @@
 //! behave exactly as if each touched line lived behind its own map entry
 //! (the pre-rework representation). This test drives a [`MemoryImage`] and a
 //! reference model through the same random operation sequence — allocations,
-//! scalar and batch reads/writes, line and slice reads, including
+//! scalar and batch reads/writes (batch reads also through an
+//! [`OverlayView`]), line and slice reads, including
 //! out-of-arena stray addresses and allocations that grow the arena over
 //! previously spilled lines — and demands identical observations throughout,
 //! plus identical "lines ever written" accounting (`resident_lines`).
 
 use lazydram_common::{FastMap, SplitMix64};
-use lazydram_gpu::{MemoryImage, LINE_BYTES, WORDS_PER_LINE};
+use lazydram_gpu::{MemoryImage, OverlayView, LINE_BYTES, WORDS_PER_LINE};
 use proptest::prelude::*;
 
 /// The reference: one map entry per line ever written, zeros elsewhere.
@@ -63,6 +64,79 @@ fn draw_addr(rng: &mut SplitMix64, regions: &[(u64, u64)]) -> u64 {
     addr & !3
 }
 
+/// Arena page size (mirrors the image's private constant): runs that cross
+/// it must still copy correctly.
+const PAGE_BYTES: u64 = 64 * 1024;
+
+/// Draws one warp load's lane addresses in one of the shapes the lane
+/// reader has to get right: warp-typical same-line runs broken by jumps; a
+/// GEMM-shaped batch (8 consecutive broadcast lanes, then 8 rows of 32
+/// consecutive words, 264 lanes); mostly falling walks with repeated
+/// addresses and short rising steps; and a rising run that starts mid-line
+/// just before a line or a page boundary and crosses it.
+fn draw_lanes(rng: &mut SplitMix64, regions: &[(u64, u64)]) -> Vec<u64> {
+    let mut addrs = Vec::new();
+    match rng.next_u64() % 4 {
+        0 => {
+            let n = 1 + (rng.next_u64() % 32) as usize;
+            let mut a = draw_addr(rng, regions);
+            for _ in 0..n {
+                if rng.next_u64().is_multiple_of(4) {
+                    a = draw_addr(rng, regions);
+                } else {
+                    a = (a + 4) & !3;
+                }
+                addrs.push(a);
+            }
+        }
+        1 => {
+            let a = draw_addr(rng, regions);
+            let b = draw_addr(rng, regions);
+            let row = 4 * (32 + rng.next_u64() % 512);
+            addrs.extend((0..8).map(|k| a + 4 * k));
+            addrs.extend((0..8).flat_map(|r| (0..32).map(move |l| b + r * row + 4 * l)));
+        }
+        2 => {
+            let n = 1 + (rng.next_u64() % 64) as usize;
+            let mut a = draw_addr(rng, regions).max(4 * 64);
+            for _ in 0..n {
+                match rng.next_u64() % 8 {
+                    0 => a = draw_addr(rng, regions).max(4 * 64),
+                    1 | 2 => {}
+                    3 => a += 4,
+                    _ => a -= 4,
+                }
+                addrs.push(a);
+            }
+        }
+        _ => {
+            let a = draw_addr(rng, regions);
+            let boundary = if rng.next_u64().is_multiple_of(2) { LINE_BYTES } else { PAGE_BYTES };
+            let start = (a | (boundary - 1)) + 1 - 4 * (1 + rng.next_u64() % 31);
+            let n = 2 + rng.next_u64() % 63;
+            addrs.extend((0..n).map(|k| start + 4 * k));
+        }
+    }
+    addrs
+}
+
+/// Draws a non-empty overlay of staged writes, ordered oldest to newest:
+/// mostly onto the lanes' own addresses (some written twice), a few
+/// elsewhere.
+fn draw_overlay(rng: &mut SplitMix64, regions: &[(u64, u64)], addrs: &[u64]) -> Vec<(u64, f32)> {
+    let n = 1 + (rng.next_u64() % 8) as usize;
+    (0..n)
+        .map(|i| {
+            let a = if rng.next_u64().is_multiple_of(4) {
+                draw_addr(rng, regions)
+            } else {
+                addrs[(rng.next_u64() % addrs.len() as u64) as usize]
+            };
+            (a, 1000.0 + i as f32)
+        })
+        .collect()
+}
+
 fn check_equivalence(seed: u64, ops: usize) {
     let mut rng = SplitMix64::new(seed);
     let mut img = MemoryImage::new();
@@ -94,21 +168,34 @@ fn check_equivalence(seed: u64, ops: usize) {
                 assert_eq!(img.read_line(addr), model.read_line(addr), "read_line at {addr:#x}");
             }
             9 | 10 => {
-                // Batch lane read, with the warp-typical same-line runs.
-                let n = 1 + (rng.next_u64() % 32) as usize;
-                let mut addrs = Vec::with_capacity(n);
-                let mut a = draw_addr(&mut rng, &regions);
-                for _ in 0..n {
-                    if rng.next_u64().is_multiple_of(4) {
-                        a = draw_addr(&mut rng, &regions);
-                    } else {
-                        a = (a + 4) & !3;
+                // Batch lane read, plain and through a non-empty overlay.
+                let addrs = draw_lanes(&mut rng, &regions);
+                if rng.next_u64().is_multiple_of(2) {
+                    // Distinct words in every line the lanes touch, so a lane
+                    // served the wrong word reads a wrong value.
+                    for &a in &addrs {
+                        let line = a & !(LINE_BYTES - 1);
+                        let data: Vec<f32> = (0..WORDS_PER_LINE as u64)
+                            .map(|k| ((line / 4 + k) % 1_000_000) as f32)
+                            .collect();
+                        img.write_slice(line, &data);
+                        for (k, &v) in data.iter().enumerate() {
+                            model.write(line + 4 * k as u64, v);
+                        }
                     }
-                    addrs.push(a);
                 }
                 img.read_lanes_into(&addrs, &mut scratch);
                 let expect: Vec<f32> = addrs.iter().map(|&a| model.read(a)).collect();
                 assert_eq!(scratch, expect, "read_lanes_into {addrs:?}");
+                let overlay = draw_overlay(&mut rng, &regions, &addrs);
+                OverlayView::new(&img, &overlay).read_lanes_into(&addrs, &mut scratch);
+                let expect: Vec<f32> = addrs
+                    .iter()
+                    .map(|&a| {
+                        overlay.iter().rev().find(|&&(o, _)| o == a).map_or(model.read(a), |o| o.1)
+                    })
+                    .collect();
+                assert_eq!(scratch, expect, "overlay read_lanes_into {addrs:?} over {overlay:?}");
             }
             11 | 12 => {
                 let n = 1 + (rng.next_u64() % 32) as usize;

@@ -156,12 +156,12 @@ impl WarpProgram for MapProgram {
             match self.phase {
                 MapPhase::Load => {
                     let addrs = out.begin_load();
+                    let (index, items) = (self.cfg.index, self.cfg.items);
                     for &(base, words) in &self.cfg.inputs {
                         for w in 0..words {
-                            for &(_, _, item) in &self.active {
-                                let idx = (self.cfg.index)(item, self.cfg.items);
-                                addrs.push(f32_addr(base, idx * words + w));
-                            }
+                            addrs.extend(self.active.iter().map(|&(_, _, item)| {
+                                f32_addr(base, index(item, items) * words + w)
+                            }));
                         }
                     }
                     self.phase = MapPhase::Compute;
@@ -194,13 +194,9 @@ impl WarpProgram for MapProgram {
                     }
                     let (base, words) = self.cfg.outputs[output];
                     let word_off: usize = self.cfg.outputs[..output].iter().map(|o| o.1).sum();
-                    let writes = out.begin_store();
-                    for &(slot, _, item) in &self.active {
-                        writes.push((
-                            f32_addr(base, item * words + word),
-                            self.out_vals[slot][word_off + word],
-                        ));
-                    }
+                    out.begin_store().extend(self.active.iter().map(|&(slot, _, item)| {
+                        (f32_addr(base, item * words + word), self.out_vals[slot][word_off + word])
+                    }));
                     self.phase = if word + 1 < words {
                         MapPhase::Store { output, word: word + 1 }
                     } else {
@@ -392,34 +388,31 @@ impl WarpProgram for MatVecProgram {
                 let b = MV_BATCH.min(self.cfg.n - j0);
                 self.j += b;
                 let n = self.cfg.n;
+                // A[t][j] sits at `t * lane_stride + j * j_stride`.
+                let (lane_stride, j_stride) = match self.cfg.orientation {
+                    MatVecOrientation::RowPerLane => (n, 1),
+                    MatVecOrientation::ColPerLane => (1, n),
+                };
+                let (a, lanes) = (self.cfg.a, self.first..self.first + active);
                 let addrs = out.begin_load();
-                for jj in 0..b {
-                    addrs.push(f32_addr(self.cfg.x, j0 + jj));
-                }
-                for jj in 0..b {
-                    for lane in 0..active {
-                        let t = self.first + lane;
-                        let idx = match self.cfg.orientation {
-                            MatVecOrientation::RowPerLane => t * n + j0 + jj,
-                            MatVecOrientation::ColPerLane => (j0 + jj) * n + t,
-                        };
-                        addrs.push(f32_addr(self.cfg.a, idx));
-                    }
+                addrs.extend((j0..j0 + b).map(|j| f32_addr(self.cfg.x, j)));
+                for j in j0..j0 + b {
+                    addrs.extend(
+                        lanes.clone().map(|t| f32_addr(a, t * lane_stride + j * j_stride)),
+                    );
                 }
             }
             MatVecState::LoadOld => {
                 self.state = MatVecState::Store;
-                let addrs = out.begin_load();
-                for lane in 0..active {
-                    addrs.push(f32_addr(self.cfg.y, self.first + lane));
-                }
+                out.begin_load()
+                    .extend((self.first..self.first + active).map(|t| f32_addr(self.cfg.y, t)));
             }
             MatVecState::Store => {
-                let writes = out.begin_store();
-                for (lane, &acc) in self.acc.iter().enumerate().take(active) {
-                    let old = if self.cfg.accumulate { loaded[lane] } else { 0.0 };
-                    writes.push((f32_addr(self.cfg.y, self.first + lane), old + acc));
-                }
+                let (y, first, accumulate) = (self.cfg.y, self.first, self.cfg.accumulate);
+                out.begin_store().extend(self.acc[..active].iter().enumerate().map(|(lane, &acc)| {
+                    let old = if accumulate { loaded[lane] } else { 0.0 };
+                    (f32_addr(y, first + lane), old + acc)
+                }));
                 self.first = usize::MAX; // retire after this store
                 self.j = 0;
             }
@@ -541,27 +534,19 @@ impl WarpProgram for MatmulProgram {
         let n = self.cfg.n;
         if self.k >= n {
             self.done = true;
-            let alpha = self.cfg.alpha;
-            let writes = out.begin_store();
-            for lane in 0..LANES {
-                writes.push((
-                    f32_addr(self.cfg.c, self.row * n + self.col0 + lane),
-                    alpha * self.acc[lane],
-                ));
-            }
+            let (c, alpha, strip) = (self.cfg.c, self.cfg.alpha, self.row * n + self.col0);
+            let lanes = (strip..strip + LANES).zip(&self.acc);
+            out.begin_store().extend(lanes.map(|(i, &v)| (f32_addr(c, i), alpha * v)));
             return;
         }
         let k0 = self.k;
         let b = MM_BATCH.min(n - k0);
         self.k += b;
         let addrs = out.begin_load();
-        for kk in 0..b {
-            addrs.push(f32_addr(self.cfg.a, self.row * n + k0 + kk));
-        }
-        for kk in 0..b {
-            for lane in 0..LANES {
-                addrs.push(f32_addr(self.cfg.b, (k0 + kk) * n + self.col0 + lane));
-            }
+        addrs.extend((k0..k0 + b).map(|k| f32_addr(self.cfg.a, self.row * n + k)));
+        for k in k0..k0 + b {
+            let row = k * n + self.col0;
+            addrs.extend((row..row + LANES).map(|i| f32_addr(self.cfg.b, i)));
         }
     }
 
@@ -651,17 +636,15 @@ impl WarpProgram for Stencil2DProgram {
         }
         match self.stage {
             0 => {
+                let (input, w, h) = (self.cfg.input, self.cfg.w, self.cfg.h);
                 let addrs = out.begin_load();
                 for &(_, y, x0) in &self.strips {
                     for &(dy, dx, _) in &self.cfg.taps {
-                        for lane in 0..LANES {
-                            let yy = (y as i64 + i64::from(dy)).clamp(0, self.cfg.h as i64 - 1)
-                                as usize;
-                            let xx = ((x0 + lane) as i64 + i64::from(dx))
-                                .clamp(0, self.cfg.w as i64 - 1)
-                                as usize;
-                            addrs.push(f32_addr(self.cfg.input, yy * self.cfg.w + xx));
-                        }
+                        let yy = (y as i64 + i64::from(dy)).clamp(0, h as i64 - 1) as usize;
+                        addrs.extend((x0..x0 + LANES).map(|x| {
+                            let xx = (x as i64 + i64::from(dx)).clamp(0, w as i64 - 1) as usize;
+                            f32_addr(input, yy * w + xx)
+                        }));
                     }
                 }
                 self.stage = 1;
@@ -693,15 +676,16 @@ impl WarpProgram for Stencil2DProgram {
                 // Stage 2: emit all strips' results and retire.
                 let writes = out.begin_store();
                 for &(i, y, x0) in &self.strips {
-                    for lane in 0..LANES {
+                    let row = y * self.cfg.w + x0;
+                    writes.extend((0..LANES).map(|lane| {
                         let v = match self.cfg.post {
                             Some(post) => {
                                 post(self.sums[i * LANES + lane], self.centers[i * LANES + lane])
                             }
                             None => self.sums[i * LANES + lane],
                         };
-                        writes.push((f32_addr(self.cfg.output, y * self.cfg.w + x0 + lane), v));
-                    }
+                        (f32_addr(self.cfg.output, row + lane), v)
+                    }));
                 }
                 self.stage = 3;
             }
@@ -785,16 +769,16 @@ impl WarpProgram for Stencil3DProgram {
         match self.stage {
             0 => {
                 let (w, h, d) = (self.cfg.w, self.cfg.h, self.cfg.d);
+                let input = self.cfg.input;
                 let addrs = out.begin_load();
                 for &(_, z, y, x0) in &self.strips {
                     for &(dz, dy, dx, _) in &self.cfg.taps {
-                        for lane in 0..LANES {
-                            let zz = (z as i64 + i64::from(dz)).clamp(0, d as i64 - 1) as usize;
-                            let yy = (y as i64 + i64::from(dy)).clamp(0, h as i64 - 1) as usize;
-                            let xx = ((x0 + lane) as i64 + i64::from(dx))
-                                .clamp(0, w as i64 - 1) as usize;
-                            addrs.push(f32_addr(self.cfg.input, (zz * h + yy) * w + xx));
-                        }
+                        let zz = (z as i64 + i64::from(dz)).clamp(0, d as i64 - 1) as usize;
+                        let yy = (y as i64 + i64::from(dy)).clamp(0, h as i64 - 1) as usize;
+                        addrs.extend((x0..x0 + LANES).map(|x| {
+                            let xx = (x as i64 + i64::from(dx)).clamp(0, w as i64 - 1) as usize;
+                            f32_addr(input, (zz * h + yy) * w + xx)
+                        }));
                     }
                 }
                 self.stage = 1;
@@ -818,15 +802,13 @@ impl WarpProgram for Stencil3DProgram {
             _ => {
                 let writes = out.begin_store();
                 for &(i, z, y, x0) in &self.strips {
-                    for lane in 0..LANES {
-                        writes.push((
-                            f32_addr(
-                                self.cfg.output,
-                                (z * self.cfg.h + y) * self.cfg.w + x0 + lane,
-                            ),
-                            self.sums[i * LANES + lane],
-                        ));
-                    }
+                    let row = (z * self.cfg.h + y) * self.cfg.w + x0;
+                    writes.extend(
+                        self.sums[i * LANES..(i + 1) * LANES]
+                            .iter()
+                            .enumerate()
+                            .map(|(lane, &v)| (f32_addr(self.cfg.output, row + lane), v)),
+                    );
                 }
                 self.stage = 3;
             }
@@ -896,18 +878,12 @@ impl FwtProgram {
     fn fill_pair_indices(&mut self) {
         // Pairs p in [chunk*32, chunk*32+32): element index
         // i = 2*stride*(p / stride) + (p % stride); partner = i + stride.
-        let h = self.stride;
+        let (h, first) = (self.stride, self.seg_base);
+        let pairs = self.chunk * LANES..(self.chunk + 1) * LANES;
+        let elem = move |p: usize| first + 2 * h * (p / h) + (p % h);
         self.idx.clear();
-        for lane in 0..LANES {
-            let p = self.chunk * LANES + lane;
-            let i = 2 * h * (p / h) + (p % h);
-            self.idx.push(self.seg_base + i);
-        }
-        for lane in 0..LANES {
-            let p = self.chunk * LANES + lane;
-            let i = 2 * h * (p / h) + (p % h);
-            self.idx.push(self.seg_base + i + h);
-        }
+        self.idx.extend(pairs.clone().map(elem));
+        self.idx.extend(pairs.map(|p| elem(p) + h));
     }
 }
 
@@ -926,17 +902,13 @@ impl WarpProgram for FwtProgram {
             self.pending = false;
             self.computing = false;
             // Butterfly: a' = a + b, b' = a - b.
+            let data = self.cfg.data;
+            let (lo, hi) = self.vals.split_at(LANES);
+            let (ilo, ihi) = self.idx.split_at(LANES);
             let writes = out.begin_store();
-            for lane in 0..LANES {
-                let a = self.vals[lane];
-                let b = self.vals[LANES + lane];
-                writes.push((f32_addr(self.cfg.data, self.idx[lane]), a + b));
-            }
-            for lane in 0..LANES {
-                let a = self.vals[lane];
-                let b = self.vals[LANES + lane];
-                writes.push((f32_addr(self.cfg.data, self.idx[LANES + lane]), a - b));
-            }
+            let pairs = || lo.iter().zip(hi);
+            writes.extend(ilo.iter().zip(pairs()).map(|(&i, (&a, &b))| (f32_addr(data, i), a + b)));
+            writes.extend(ihi.iter().zip(pairs()).map(|(&i, (&a, &b))| (f32_addr(data, i), a - b)));
             // Advance to the next chunk / stage.
             self.chunk += 1;
             if self.chunk * LANES >= self.cfg.segment / 2 {
@@ -950,10 +922,7 @@ impl WarpProgram for FwtProgram {
             return;
         }
         self.fill_pair_indices();
-        let addrs = out.begin_load();
-        for &i in &self.idx {
-            addrs.push(f32_addr(self.cfg.data, i));
-        }
+        out.begin_load().extend(self.idx.iter().map(|&i| f32_addr(self.cfg.data, i)));
         self.pending = true;
     }
 
@@ -1038,11 +1007,10 @@ impl WarpProgram for ScanProgram {
             self.pending = false;
             let mut acc = self.carry;
             let start = self.base + self.chunk * LANES;
-            let writes = out.begin_store();
-            for (i, &v) in loaded.iter().enumerate() {
+            out.begin_store().extend(loaded.iter().enumerate().map(|(i, &v)| {
                 acc += v;
-                writes.push((f32_addr(self.cfg.output, start + i), acc));
-            }
+                (f32_addr(self.cfg.output, start + i), acc)
+            }));
             self.carry = acc;
             self.chunk += loaded.len().div_ceil(LANES);
             return;
@@ -1054,10 +1022,7 @@ impl WarpProgram for ScanProgram {
         }
         let start = self.base + self.chunk * LANES;
         self.pending = true;
-        let addrs = out.begin_load();
-        for i in 0..n {
-            addrs.push(f32_addr(self.cfg.input, start + i));
-        }
+        out.begin_load().extend((start..start + n).map(|i| f32_addr(self.cfg.input, i)));
     }
 
     fn save_state(&self, s: &mut Saver) {
@@ -1132,13 +1097,10 @@ impl WarpProgram for ScpProgram {
                 // Load a then b, lane-major (each lane's vector contiguous).
                 self.state = 1;
                 let v = self.cfg.veclen;
+                let words = self.first_pair * v..(self.first_pair + active) * v;
                 let addrs = out.begin_load();
                 for base in [self.cfg.a, self.cfg.b] {
-                    for lane in 0..active {
-                        for j in 0..v {
-                            addrs.push(f32_addr(base, (self.first_pair + lane) * v + j));
-                        }
-                    }
+                    addrs.extend(words.clone().map(|i| f32_addr(base, i)));
                 }
             }
             1 => {
@@ -1156,10 +1118,10 @@ impl WarpProgram for ScpProgram {
             }
             2 => {
                 self.state = 3;
-                let writes = out.begin_store();
-                for lane in 0..active {
-                    writes.push((f32_addr(self.cfg.out, self.first_pair + lane), self.acc[lane]));
-                }
+                let (dst, first) = (self.cfg.out, self.first_pair);
+                out.begin_store().extend(
+                    (first..first + active).zip(&self.acc).map(|(i, &acc)| (f32_addr(dst, i), acc)),
+                );
             }
             _ => out.set_finished(),
         }

@@ -183,11 +183,12 @@ impl WarpProgram for RayProgram {
             }
             RayStage::Store => {
                 let first_pixel = self.warp_id * LANES;
-                let writes = out.begin_store();
-                for (lane, &env) in loaded.iter().enumerate().take(LANES) {
-                    let color = (self.base_shade[lane] + 0.6 * env).min(1.0);
-                    writes.push((self.k.img + ((first_pixel + lane) * 4) as u64, color));
-                }
+                let img = self.k.img;
+                out.begin_store().extend(loaded.iter().zip(&self.base_shade).enumerate().map(
+                    |(lane, (&env, &shade))| {
+                        (img + ((first_pixel + lane) * 4) as u64, (shade + 0.6 * env).min(1.0))
+                    },
+                ));
                 self.stage = RayStage::Done;
             }
             RayStage::Done => out.set_finished(),

@@ -7,7 +7,7 @@
 //! pair indices) is computed once at construction or reused across calls.
 //! This test turns that claim into a regression gate with a counting
 //! `#[global_allocator]`: after a warm-up run, a representative map,
-//! stencil, and matvec program each execute their measured ops — `next`
+//! stencil, matvec and matmul program each execute their measured ops — `next`
 //! into a reused buffer, then the functional issue (lane reads/writes
 //! against a page-warm memory image) — under the assertion that the
 //! allocation counter does not move.
@@ -18,8 +18,8 @@
 
 use lazydram_gpu::{MemoryImage, OpBuf, OpKind, WarpProgram};
 use lazydram_workloads::programs::{
-    MapConfig, MapProgram, MatVecConfig, MatVecOrientation, MatVecProgram, Stencil2DConfig,
-    Stencil2DProgram,
+    MapConfig, MapProgram, MatVecConfig, MatVecOrientation, MatVecProgram, MatmulConfig,
+    MatmulProgram, Stencil2DConfig, Stencil2DProgram,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -127,7 +127,7 @@ fn gate(
     );
 }
 
-/// One test, three program families. Configs are sized so a single warp has
+/// One test, four program families. Configs are sized so a single warp has
 /// a genuine steady state (several load batches / strips / inner-product
 /// batches), unlike some app-level configs whose warps finish in one batch.
 #[test]
@@ -202,5 +202,19 @@ fn steady_state_emission_is_allocation_free() {
             ))
         };
         gate("matvec", &mut image, &mut make, 0.5);
+    }
+
+    // Matmul: n = 128 → 16 batches of 8 `k`s. The accumulators are a fixed
+    // array, so the *entire* run must be alloc-free.
+    {
+        let mut image = MemoryImage::new();
+        let n = 128;
+        let a = image.alloc(n * n);
+        let b = image.alloc(n * n);
+        let c = image.alloc(n * n);
+        let mut make = || -> Box<dyn WarpProgram> {
+            Box::new(MatmulProgram::new(1, MatmulConfig { a, b, c, n, alpha: 1.5 }))
+        };
+        gate("matmul", &mut image, &mut make, 0.0);
     }
 }
