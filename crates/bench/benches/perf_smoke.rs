@@ -1,27 +1,18 @@
 //! Timed smoke sweep for the simulator hot paths.
 //!
 //! Runs a representative slice of the suite under the baseline and
-//! Static-DMS schemes, once with cycle skipping enabled and once with the
-//! naive loop (`with_cycle_skipping(false)`), and reports per-run wall-clock
-//! time, speedup, and the fraction of core cycles skipped. Each timing is
-//! the minimum of `LAZYDRAM_BENCH_REPS` runs (default 3). Results are also
-//! written as a JSON array to `LAZYDRAM_BENCH_OUT` (default
-//! `BENCH_PR4.json` in the current directory) for regression tracking; when
-//! the binary was built with `--features prof`, every JSON row carries the
-//! profiler's wall-clock phase breakdown (`prof` key).
+//! Static-DMS schemes and reports each run's wall-clock time, the minimum
+//! of `LAZYDRAM_BENCH_REPS` runs (default 3). Results are also written as
+//! a JSON array to `LAZYDRAM_BENCH_OUT` (default `BENCH_PR4.json` in the
+//! current directory) for regression tracking; when the binary was built
+//! with `--features prof`, every JSON row carries the profiler's
+//! wall-clock phase breakdown (`prof` key).
 //!
-//! Two comparisons are recorded per (app, scheme):
-//!
-//! * `noskip_s` vs `skip_s` — the naive loop vs fast-forward *within this
-//!   tree*. This isolates the cycle-skipping contribution.
-//! * `pre_pr_s` vs `skip_s` — the recorded pre-PR wall clock (from
-//!   `baselines/pre_pr9.tsv`, measured at the revision before the analytic
-//!   compute-burst fast-forward) vs the current loop. This is the PR's
-//!   end-to-end speedup and the number tracked as the repo's perf
-//!   trajectory. Override the baseline file with `LAZYDRAM_BASELINE`; when
-//!   the file is missing the columns are omitted. **The baseline was
-//!   recorded at `LAZYDRAM_SCALE=0.2`** — comparisons at any other scale
-//!   are apples-to-oranges.
+//! Each (app, scheme) is compared with its recorded pre-PR wall clock
+//! (`pre_pr_s`, from `baselines/pre_pr9.tsv`). Override the baseline file
+//! with `LAZYDRAM_BASELINE`; when the file is missing the column is
+//! omitted. **The baseline was recorded at `LAZYDRAM_SCALE=0.2`** —
+//! comparisons at any other scale are apples-to-oranges.
 //!
 //! # Regression gate
 //!
@@ -56,21 +47,9 @@
 //! benchmark exits non-zero unless the warm sweep beats the cold one by at
 //! least the ratio — the PR 8 acceptance floor.
 //!
-//! # Compute-skip smoke (`BENCH_PR9.json`)
-//!
-//! A fourth section distils the main sweep into the compute-skip trajectory file
-//! (`LAZYDRAM_PR9_BENCH_OUT`, default `BENCH_PR9.json`): per (app, scheme)
-//! the wall-clock ratio against `pre_pr9.tsv`, the skip fraction split into
-//! idle vs analytic compute skips, and — when built with `--features prof` —
-//! the `sm_issue` phase wall clock against the pre-PR column recorded in
-//! the baseline file (the phase the analytic fast-forward attacks). The
-//! per-app regression gate stays `LAZYDRAM_MAX_REGRESSION` on the main
-//! sweep; this section only records.
-//!
 //! This is a *smoke* benchmark: single-digit runs, no statistics. It is
-//! meant to catch order-of-magnitude regressions (e.g. fast-forward silently
-//! disengaging, a hash map sneaking back onto the lane path), not
-//! single-digit-percent drifts.
+//! meant to catch order-of-magnitude regressions (e.g. a hash map sneaking
+//! back onto the lane path), not single-digit-percent drifts.
 
 use lazydram_bench::{
     scale_from_env, CacheMode, CachePolicy, MeasureSpec, Measurement, SimBuilder, SweepRunner,
@@ -82,23 +61,16 @@ use lazydram_energy::{EnergyModel, MemoryTech};
 use lazydram_workloads::by_name;
 use std::time::Instant;
 
-/// Memory-bound streamers (where DMS stalls dominate and fast-forward should
-/// shine) plus cache-friendly compute apps (where it should at least not
-/// hurt).
+/// Memory-bound streamers (where DMS stalls dominate) plus cache-friendly
+/// compute apps.
 const APPS: &[&str] = &["SLA", "CONS", "ATAX", "MVT", "SCP", "GEMM"];
 
 struct Row {
     app: &'static str,
     scheme: &'static str,
-    skip_s: f64,
-    noskip_s: f64,
+    wall_s: f64,
     pre_pr_s: Option<f64>,
-    pre_sm_issue_s: Option<f64>,
-    skip_pct: f64,
-    compute_skip_pct: f64,
     core_cycles: u64,
-    cycles_skipped: u64,
-    compute_cycles_skipped: u64,
     prof: lazydram_common::ProfReport,
 }
 
@@ -106,7 +78,6 @@ fn timed_run(
     app: &str,
     sched: &SchedConfig,
     scale: f64,
-    skip: bool,
     reps: usize,
 ) -> (f64, lazydram_common::SimStats) {
     let mut best = f64::INFINITY;
@@ -115,7 +86,6 @@ fn timed_run(
     let run = SimBuilder::new(&spec)
         .sched(sched.clone(), "perf")
         .scale(scale)
-        .cycle_skipping(skip)
         .build();
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
@@ -126,13 +96,12 @@ fn timed_run(
     (best, stats.expect("at least one rep"))
 }
 
-/// One `app\tscheme\tsecs[\tsm_issue_secs]` line of the pre-PR baseline.
+/// One `app\tscheme\tsecs[\t...]` line of the pre-PR baseline; columns
+/// after the third are ignored.
 struct BaselineRow {
     app: String,
     scheme: String,
     secs: f64,
-    /// Pre-PR `sm_issue` profiler phase seconds (the optional 4th column).
-    sm_issue_s: Option<f64>,
 }
 
 /// Loads the pre-PR baseline file; `#` lines are comments. Returns `None`
@@ -161,11 +130,7 @@ fn load_baseline_file(env: &str, default_name: &str) -> Option<Vec<BaselineRow>>
         let secs: f64 = secs
             .parse()
             .unwrap_or_else(|e| panic!("bad seconds in {path}: {line:?} ({e})"));
-        let sm_issue_s = it.next().map(|s| {
-            s.parse()
-                .unwrap_or_else(|e| panic!("bad sm_issue seconds in {path}: {line:?} ({e})"))
-        });
-        rows.push(BaselineRow { app: app.to_string(), scheme: scheme.to_string(), secs, sm_issue_s });
+        rows.push(BaselineRow { app: app.to_string(), scheme: scheme.to_string(), secs });
     }
     Some(rows)
 }
@@ -414,62 +379,8 @@ fn cache_smoke(scale: f64) -> bool {
     }
 }
 
-/// Distils the main sweep into the PR 9 trajectory file: per-(app, scheme)
-/// wall-clock ratio vs `pre_pr9.tsv`, the idle/compute skip split, and the
-/// `sm_issue` phase delta against the pre-PR column when both profiles
-/// exist. Records only; the regression gate runs on the main sweep.
-fn pr9_smoke(rows: &[Row], scale: f64) {
-    use lazydram_common::prof::Phase;
-    let mut json_rows = Vec::new();
-    eprintln!("\ncompute-skip smoke (analytic compute-burst fast-forward, PR 9 trajectory):");
-    for r in rows {
-        let sm_issue_s =
-            (!r.prof.is_empty()).then(|| r.prof.get(Phase::SmIssue));
-        let mut o = JsonObject::new();
-        o.str("app", r.app)
-            .str("scheme", r.scheme)
-            .f64("scale", scale)
-            .f64("fast_s", r.skip_s)
-            .f64("skip_pct", r.skip_pct)
-            .f64("compute_skip_pct", r.compute_skip_pct)
-            .f64("idle_skip_pct", r.skip_pct - r.compute_skip_pct)
-            .u64("core_cycles", r.core_cycles)
-            .u64("cycles_skipped", r.cycles_skipped)
-            .u64("compute_cycles_skipped", r.compute_cycles_skipped);
-        if let Some(b) = r.pre_pr_s {
-            o.f64("pre_pr_s", b).f64("speedup_vs_pre_pr", b / r.skip_s.max(1e-9));
-        }
-        if let Some(cur) = sm_issue_s {
-            o.f64("sm_issue_s", cur);
-            if let Some(pre) = r.pre_sm_issue_s {
-                o.f64("pre_sm_issue_s", pre).f64("sm_issue_delta_s", pre - cur);
-            }
-        }
-        eprintln!(
-            "  {}/{}: {:.1}% skipped ({:.1}% compute bursts){}{}",
-            r.app,
-            r.scheme,
-            r.skip_pct,
-            r.compute_skip_pct,
-            r.pre_pr_s
-                .map_or_else(String::new, |b| format!(", {:.1}x vs pre-PR", b / r.skip_s.max(1e-9))),
-            match (sm_issue_s, r.pre_sm_issue_s) {
-                (Some(cur), Some(pre)) =>
-                    format!(", sm_issue {pre:.3}s -> {cur:.3}s"),
-                _ => String::new(),
-            },
-        );
-        json_rows.push(o.finish());
-    }
-    let out =
-        std::env::var("LAZYDRAM_PR9_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR9.json".to_string());
-    std::fs::write(&out, array(&json_rows) + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-    eprintln!("wrote {out}");
-}
-
-/// Gates the memory-backend refactor (PR 10): the timed fast-forward rows
-/// against `pre_pr10.tsv` — recorded at the revision immediately before the
+/// Gates the memory-backend refactor (PR 10): the timed rows against
+/// `pre_pr10.tsv` — recorded at the revision immediately before the
 /// [`MemoryBackend`] trait extraction — writing per-row ratios to
 /// `LAZYDRAM_PR10_BENCH_OUT` (default `BENCH_PR10.json`). The trait is
 /// dispatched through a static enum, so the default GDDR5 hot path is
@@ -493,20 +404,20 @@ backend smoke (MemoryBackend trait dispatch, PR 10 trajectory):");
         let Some(pre) = baseline.iter().find(|b| b.app == r.app && b.scheme == r.scheme) else {
             continue;
         };
-        let ratio = r.skip_s / pre.secs.max(1e-9);
+        let ratio = r.wall_s / pre.secs.max(1e-9);
         let mut o = JsonObject::new();
         o.str("app", r.app)
             .str("scheme", r.scheme)
             .f64("scale", scale)
-            .f64("fast_s", r.skip_s)
+            .f64("wall_s", r.wall_s)
             .f64("pre_pr10_s", pre.secs)
             .f64("ratio_vs_pre_pr10", ratio);
         json_rows.push(o.finish());
-        eprintln!("  {}/{}: {:.3}s vs pre-PR10 {:.3}s ({ratio:.2}x)", r.app, r.scheme, r.skip_s, pre.secs);
+        eprintln!("  {}/{}: {:.3}s vs pre-PR10 {:.3}s ({ratio:.2}x)", r.app, r.scheme, r.wall_s, pre.secs);
         if ratio > cap {
             regressed.push(format!(
                 "{}/{}: {:.3}s vs pre-PR10 {:.3}s ({ratio:.2}x > {cap}x cap)",
-                r.app, r.scheme, r.skip_s, pre.secs
+                r.app, r.scheme, r.wall_s, pre.secs
             ));
         }
     }
@@ -558,62 +469,45 @@ fn main() {
     let mut rows = Vec::new();
     for (scheme_label, sched) in &schemes {
         for app in APPS {
-            let (noskip_s, _) = timed_run(app, sched, scale, false, reps);
-            let (skip_s, stats) = timed_run(app, sched, scale, true, reps);
-            let pre = baseline
+            let (wall_s, stats) = timed_run(app, sched, scale, reps);
+            let pre_pr_s = baseline
                 .as_ref()
-                .and_then(|b| b.iter().find(|r| r.app == *app && r.scheme == *scheme_label));
-            let pre_pr_s = pre.map(|r| r.secs);
+                .and_then(|b| b.iter().find(|r| r.app == *app && r.scheme == *scheme_label))
+                .map(|r| r.secs);
             eprintln!(
-                "{app}/{scheme_label}: naive {noskip_s:.3}s, fast-forward {skip_s:.3}s \
-                 ({speedup:.1}x, skipped {pct:.1}% of cycles, {cpct:.1}% as compute bursts{vs})",
-                speedup = noskip_s / skip_s.max(1e-9),
-                pct = 100.0 * stats.skip_fraction(),
-                cpct = 100.0 * stats.compute_skip_fraction(),
+                "{app}/{scheme_label}: {wall_s:.3}s{vs}",
                 vs = match pre_pr_s {
-                    Some(b) => format!(", {:.1}x vs pre-PR", b / skip_s.max(1e-9)),
+                    Some(b) => format!(" ({:.1}x vs pre-PR)", b / wall_s.max(1e-9)),
                     None => String::new(),
                 },
             );
             rows.push(Row {
                 app,
                 scheme: scheme_label,
-                skip_s,
-                noskip_s,
+                wall_s,
                 pre_pr_s,
-                pre_sm_issue_s: pre.and_then(|r| r.sm_issue_s),
-                skip_pct: 100.0 * stats.skip_fraction(),
-                compute_skip_pct: 100.0 * stats.compute_skip_fraction(),
                 core_cycles: stats.core_cycles,
-                cycles_skipped: stats.cycles_skipped,
-                compute_cycles_skipped: stats.compute_cycles_skipped,
                 prof: stats.prof.clone(),
             });
         }
     }
 
     println!();
-    println!(
-        "{:<14} {:<11} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8}",
-        "app", "scheme", "pre_pr_s", "naive_s", "fast_s", "speedup", "skip%", "cskip%"
-    );
+    println!("{:<14} {:<11} {:>9} {:>9} {:>8}", "app", "scheme", "pre_pr_s", "wall_s", "vs_pre");
     for r in &rows {
         println!(
-            "{:<14} {:<11} {:>9} {:>9.3} {:>9.3} {:>7.1}x {:>7.1}% {:>7.1}%",
+            "{:<14} {:<11} {:>9} {:>9.3} {:>8}",
             r.app,
             r.scheme,
             r.pre_pr_s.map_or_else(|| "-".into(), |b| format!("{b:.3}")),
-            r.noskip_s,
-            r.skip_s,
-            r.pre_pr_s.unwrap_or(r.noskip_s) / r.skip_s.max(1e-9),
-            r.skip_pct,
-            r.compute_skip_pct,
+            r.wall_s,
+            r.pre_pr_s.map_or_else(|| "-".into(), |b| format!("{:.1}x", b / r.wall_s.max(1e-9))),
         );
     }
     let ratios: Vec<(usize, f64)> = rows
         .iter()
         .enumerate()
-        .filter_map(|(i, r)| r.pre_pr_s.map(|b| (i, b / r.skip_s.max(1e-9))))
+        .filter_map(|(i, r)| r.pre_pr_s.map(|b| (i, b / r.wall_s.max(1e-9))))
         .collect();
     let geomean = if ratios.is_empty() {
         None
@@ -626,7 +520,7 @@ fn main() {
         println!("\ngeomean speedup vs pre-PR: {g:.2}x (worst any-app: {worst:.2}x)");
     }
     if !rows.is_empty() && !rows[0].prof.is_empty() {
-        println!("\nphase breakdown (exclusive seconds, summed over apps, fast-forward runs):");
+        println!("\nphase breakdown (exclusive seconds, summed over apps):");
         let mut total = lazydram_common::ProfReport::default();
         for r in &rows {
             total.merge(&r.prof);
@@ -643,17 +537,11 @@ fn main() {
             o.str("app", r.app)
                 .str("scheme", r.scheme)
                 .f64("scale", scale)
-                .f64("noskip_s", r.noskip_s)
-                .f64("skip_s", r.skip_s)
-                .f64("speedup_vs_naive", r.noskip_s / r.skip_s.max(1e-9))
-                .f64("skip_pct", r.skip_pct)
-                .f64("compute_skip_pct", r.compute_skip_pct)
-                .u64("core_cycles", r.core_cycles)
-                .u64("cycles_skipped", r.cycles_skipped)
-                .u64("compute_cycles_skipped", r.compute_cycles_skipped);
+                .f64("wall_s", r.wall_s)
+                .u64("core_cycles", r.core_cycles);
             if let Some(b) = r.pre_pr_s {
                 o.f64("pre_pr_s", b)
-                    .f64("speedup_vs_pre_pr", b / r.skip_s.max(1e-9));
+                    .f64("speedup_vs_pre_pr", b / r.wall_s.max(1e-9));
             }
             if !r.prof.is_empty() {
                 o.raw("prof", &r.prof.to_json());
@@ -666,7 +554,6 @@ fn main() {
         .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     eprintln!("wrote {out}");
 
-    pr9_smoke(&rows, scale);
     let pr10_ok = pr10_smoke(&rows, scale);
 
     let trace_ok = trace_smoke(scale);
@@ -681,7 +568,7 @@ fn main() {
                     "{}/{}: {:.3}s vs pre-PR {:.3}s ({:.2}x slower)",
                     rows[i].app,
                     rows[i].scheme,
-                    rows[i].skip_s,
+                    rows[i].wall_s,
                     rows[i].pre_pr_s.expect("ratio implies baseline"),
                     1.0 / speedup,
                 )

@@ -22,7 +22,6 @@ fn main() {
     let run = SimBuilder::new(&spec)
         .sched(sched, "perf")
         .scale(scale)
-        .cycle_skipping(true)
         .build();
     let mut best = f64::INFINITY;
     let mut stats = None;

@@ -116,7 +116,7 @@ impl<'a, T> Job<'a, T> {
     }
 
     /// Adds an annotation rendered on the job's stderr progress line after a
-    /// successful run (e.g. the fraction of cycles fast-forwarded).
+    /// successful run (e.g. whether the cell was served from the cache).
     pub fn with_note(mut self, note: impl Fn(&T) -> String + Send + 'a) -> Self {
         self.note = Some(Box::new(note));
         self
@@ -707,19 +707,16 @@ impl Drop for SweepRunner {
     }
 }
 
-/// Renders the fast-forward annotation for a measurement's progress line
-/// (empty when the event-driven loop never skipped, e.g. `LAZYDRAM_NO_SKIP`);
-/// cache-served and trace-replayed cells are flagged instead, since they
-/// skip the simulation (wholly or GPU-side).
+/// Renders the progress-line annotation for a measurement: cache-served
+/// and trace-replayed cells are flagged, since they skip the simulation
+/// (wholly or GPU-side); executed cells get none.
 fn skip_note(m: &Measurement) -> String {
     if m.cached {
         " [cache hit]".to_string()
     } else if m.replayed {
         " [trace replay]".to_string()
-    } else if m.stats.cycles_skipped == 0 {
-        String::new()
     } else {
-        format!(" [skipped {:.1}% of cycles]", 100.0 * m.stats.skip_fraction())
+        String::new()
     }
 }
 

@@ -50,8 +50,8 @@ pub mod stats;
 /// (`tests/semantics_golden.rs`): **any PR that changes what a simulation
 /// computes — timing, scheduling, energy, workload inputs, statistics — must
 /// bump this constant** (the golden test fails until it does). PRs that only
-/// change *how fast* the same results are produced (fast-forward, parallel
-/// tick, allocation work) leave it untouched; their bit-identity suites prove
+/// change *how fast* the same results are produced (loop structure,
+/// allocation work) leave it untouched; their bit-identity suites prove
 /// cached entries are still exact.
 pub const SEMANTICS_VERSION: u64 = 1;
 

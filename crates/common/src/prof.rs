@@ -3,11 +3,11 @@
 //!
 //! The simulator's hot loop interleaves very different kinds of work —
 //! SM issue, L2 slice service, memory-controller scheduling, the DRAM
-//! timing model, the functional memory image, and the fast-forward event
-//! scan. When optimizing, "where did the seconds go" must be measured, not
-//! guessed. This module provides exactly that: scoped phase timers whose
-//! per-phase **exclusive** totals (time in a phase minus time in nested
-//! phases) are drained into a [`ProfReport`] per run.
+//! timing model and the functional memory image. When optimizing, "where
+//! did the seconds go" must be measured, not guessed. This module provides
+//! exactly that: scoped phase timers whose per-phase **exclusive** totals
+//! (time in a phase minus time in nested phases) are drained into a
+//! [`ProfReport`] per run.
 //!
 //! # Zero cost when disabled
 //!
@@ -52,7 +52,9 @@ pub enum Phase {
     Dram,
     /// The functional memory image: batch lane reads/writes and line copies.
     FuncMem,
-    /// The event-driven fast-forward scan (`next_interesting_cycle`).
+    /// Never entered: the master loop has no fast-forward. Kept only
+    /// because lazybench's per-layer metrics read it by name
+    /// (`prof.fast_forward_s`), until a benchmark change drops it.
     FastForward,
 }
 

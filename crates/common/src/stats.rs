@@ -309,17 +309,16 @@ pub struct SimStats {
     pub l2_misses: u64,
     /// Loads whose value was approximated by the VP unit.
     pub approximated_loads: u64,
-    /// Core cycles the event-driven loop fast-forwarded over without
-    /// executing any component (zero when skipping is disabled).
+    /// Always 0: the master loop executes every cycle. Kept (with
+    /// `compute_cycles_skipped` and `ticks_executed`) only because
+    /// lazybench's per-layer metrics read it by name, until a benchmark
+    /// change drops all three.
     pub cycles_skipped: u64,
-    /// The subset of `cycles_skipped` spanning *busy* cycles: spans where at
-    /// least one SM's `Computing` warps were advanced analytically instead
-    /// of being provably idle. Zero when compute skipping is disabled
-    /// (`LAZYDRAM_NO_COMPUTE_SKIP=1`) or skipping is off entirely.
+    /// Always 0; kept for lazybench, like `cycles_skipped`.
     pub compute_cycles_skipped: u64,
-    /// Core cycles actually executed by the master loop. With skipping off
-    /// this equals `core_cycles`; with skipping on,
-    /// `ticks_executed + cycles_skipped` covers the simulated span.
+    /// Core cycles executed by the master loop: `core_cycles`, less the
+    /// one cycle a launch stopped by the cycle limit counts but does not
+    /// run. Kept for lazybench, like `cycles_skipped`.
     pub ticks_executed: u64,
     /// Diagnostic: AMS decline-reason histogram summed over controllers
     /// (indexed by the scheduler crate's `AmsDecline`); empty when AMS off.
@@ -374,32 +373,6 @@ impl SimStats {
     /// Creates zeroed statistics.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Fraction of simulated core cycles that were fast-forwarded.
-    pub fn skip_fraction(&self) -> f64 {
-        if self.core_cycles == 0 {
-            0.0
-        } else {
-            self.cycles_skipped as f64 / self.core_cycles as f64
-        }
-    }
-
-    /// The subset of `cycles_skipped` spanning provably *idle* cycles — the
-    /// PR 2 skipper's territory, as opposed to analytically replayed
-    /// compute bursts.
-    pub fn idle_cycles_skipped(&self) -> u64 {
-        self.cycles_skipped - self.compute_cycles_skipped
-    }
-
-    /// Fraction of simulated core cycles fast-forwarded through *busy*
-    /// compute bursts (analytic round-robin replay rather than idleness).
-    pub fn compute_skip_fraction(&self) -> f64 {
-        if self.core_cycles == 0 {
-            0.0
-        } else {
-            self.compute_cycles_skipped as f64 / self.core_cycles as f64
-        }
     }
 
     /// Instructions per core cycle.

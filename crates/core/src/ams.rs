@@ -168,17 +168,6 @@ impl AmsUnit {
         Ok(())
     }
 
-    /// The absolute memory cycle of the next `Dyn-AMS` window boundary
-    /// (where [`AmsUnit::tick`] stops being a no-op), or `None` for the
-    /// static/off modes whose `tick` never does anything. The event-driven
-    /// loop must not fast-forward past this cycle.
-    pub fn next_window_boundary(&self) -> Option<u64> {
-        match self.mode {
-            AmsMode::Dynamic(cfg) => Some(self.window_start + u64::from(cfg.window)),
-            _ => None,
-        }
-    }
-
     /// Advances the `Dyn-AMS` window controller; call once per memory cycle
     /// with the running totals.
     pub fn tick(&mut self, now: u64, dropped: u64, global_reads_received: u64) {

@@ -42,9 +42,6 @@ use lazydram_common::{snap, AccessKind, BackendKind, DramStats, DramTimings, Gpu
 ///   statistics, and [`MemoryBackend::cas`] completion times.
 /// * **Monotone completions** — successive `cas` return values never
 ///   decrease (responses retire in issue order).
-/// * **Stall persistence** — once `can_*` is true at cycle `t` it stays
-///   true at `t+1` unless a command or refresh intervenes; the controller's
-///   `next_event_cycle` fast-forward depends on this.
 /// * **Snapshot fidelity** — `save_state` → `load_state` into a freshly
 ///   constructed backend of the same kind and configuration reproduces
 ///   behavior bit-for-bit.
@@ -91,10 +88,6 @@ pub trait MemoryBackend {
 
     /// `true` when an all-bank refresh is due at `now`.
     fn refresh_due(&self, now: u64) -> bool;
-
-    /// The absolute cycle at which the next refresh falls due (`u64::MAX`
-    /// when the backend never refreshes). Event-loop wake-up point.
-    fn refresh_due_at(&self) -> u64;
 
     /// Is an all-bank `REF` legal at `now`?
     fn can_refresh(&self, now: u64) -> bool;
@@ -174,9 +167,6 @@ macro_rules! banked_backend {
             }
             fn refresh_due(&self, now: u64) -> bool {
                 self.0.refresh_due(now)
-            }
-            fn refresh_due_at(&self) -> u64 {
-                self.0.refresh_due_at()
             }
             fn can_refresh(&self, now: u64) -> bool {
                 self.0.can_refresh(now)
@@ -304,9 +294,6 @@ impl MemoryBackend for FlexBackend {
     }
     fn refresh_due(&self, now: u64) -> bool {
         self.0.refresh_due(now)
-    }
-    fn refresh_due_at(&self) -> u64 {
-        self.0.refresh_due_at()
     }
     fn can_refresh(&self, now: u64) -> bool {
         self.0.can_refresh(now)
@@ -442,9 +429,6 @@ impl MemoryBackend for NaiveBackend {
     }
     fn refresh_due(&self, _now: u64) -> bool {
         false
-    }
-    fn refresh_due_at(&self) -> u64 {
-        u64::MAX
     }
     fn can_refresh(&self, _now: u64) -> bool {
         false
@@ -586,9 +570,6 @@ impl MemoryBackend for DramBackend {
     fn refresh_due(&self, now: u64) -> bool {
         dispatch!(self, b => b.refresh_due(now))
     }
-    fn refresh_due_at(&self) -> u64 {
-        dispatch!(self, b => b.refresh_due_at())
-    }
     fn can_refresh(&self, now: u64) -> bool {
         dispatch!(self, b => b.can_refresh(now))
     }
@@ -647,7 +628,6 @@ mod tests {
         assert_eq!(b.stats().rbl.count(1), 1);
         assert_eq!(b.stats().row_misses, 1);
         assert!(!b.refresh_due(u64::MAX - 1));
-        assert_eq!(b.refresh_due_at(), u64::MAX);
     }
 
     #[test]

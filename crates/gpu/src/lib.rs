@@ -48,10 +48,7 @@ pub use kernel::{
 pub use memimg::{MemoryImage, OverlayView, LINE_BYTES, WORDS_PER_LINE};
 pub use lazydram_common::snap::{Loader, Saver, SnapError, SnapResult};
 pub use noc::{DelayQueue, NocFull};
-pub use sim::{
-    parse_no_compute_skip, parse_no_skip, run_kernel, Checkpoint, RunOutcome, RunResult,
-    SimLimits, Simulator,
-};
+pub use sim::{run_kernel, Checkpoint, RunOutcome, RunResult, SimLimits, Simulator};
 pub use trace::{
     ReplayReport, Trace, TraceEntry, TraceError, TraceSim, DEFAULT_DRAIN_GRACE,
 };

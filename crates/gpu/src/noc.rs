@@ -117,20 +117,6 @@ impl<T> DelayQueue<T> {
         }
     }
 
-    /// The cycle at which the next item becomes poppable, or `None` when
-    /// the queue is empty. Pushes stamp monotonically increasing ready
-    /// times (constant latency) and `push_front` re-inserts at the current
-    /// cycle, so the front item is always the earliest.
-    pub fn next_ready_cycle(&self) -> Option<u64> {
-        self.items.front().map(|&(ready, _)| ready)
-    }
-
-    /// The front item, if any, without consuming it — the item
-    /// [`DelayQueue::pop_ready`] would deliver next once its time comes.
-    pub fn peek(&self) -> Option<&T> {
-        self.items.front().map(|(_, t)| t)
-    }
-
     /// Returns an item to the front of the queue, immediately poppable
     /// (used when a consumer must retry, e.g. downstream backpressure).
     pub fn push_front(&mut self, now: u64, item: T) {

@@ -21,29 +21,6 @@
 //! merge orders *are* the semantics: an SM never observes another SM's
 //! writes or requests within the cycle it issues them. See `DESIGN.md` §12.
 //!
-//! # Event-driven fast-forward
-//!
-//! DMS deliberately *creates* long stall epochs (it delays row activations by
-//! up to 2048 memory cycles), so in the paper's most interesting
-//! configurations the majority of cycles tick every component for no effect.
-//! Instead of executing those, the loop asks each component for its next
-//! event:
-//!
-//! * SMs: [`Sm::has_work`] — conservative "could issue this cycle";
-//! * [`DelayQueue`]s: head ready-time (the head is always the earliest item);
-//! * slices: [`Slice::has_work`] — buffered responses / writebacks / retries;
-//! * controllers: [`MemoryController::next_event_cycle`] — earliest in-flight
-//!   completion, DMS delay expiry, refresh, or Dyn-DMS/Dyn-AMS window
-//!   boundary, in memory cycles.
-//!
-//! When nothing has work *this* cycle, `core_cycle` jumps to the minimum next
-//! event and the clock accumulator advances analytically, so the memory clock
-//! lands on exactly the same cycles as the naive loop. Executed cycles run
-//! the identical phase code, and skips only cover cycles every component has
-//! proven to be no-ops — results are **bit-identical** with skipping on or
-//! off (enforced by the `fast_forward_equivalence` suite test and a
-//! proptest). `LAZYDRAM_NO_SKIP=1` forces the naive loop for debugging.
-//!
 //! # Checkpoint / resume
 //!
 //! All per-launch state lives in one [`LaunchMachine`] struct, so a run can
@@ -52,9 +29,7 @@
 //! `snap` wire format. [`Simulator::resume`] restores it and continues;
 //! the resumed run's [`RunResult`] is **byte-identical** to the
 //! uninterrupted run's (enforced by `tests/checkpoint_equivalence.rs` and a
-//! proptest). Pausing clamps an in-flight fast-forward at the pause cycle
-//! and the resumed loop re-derives the remainder of the skip, so even the
-//! executed/skipped cycle accounting survives the round trip unchanged.
+//! proptest).
 //!
 //! A checkpoint stores only *dynamic* state: configuration-derived geometry
 //! is rebuilt from the resuming [`Simulator`] (a config fingerprint is
@@ -71,7 +46,6 @@ use lazydram_common::prof::{self, Phase};
 use lazydram_common::snap::{digest, list_frames, FrameInfo, Loader, Saver, SnapError, SnapResult};
 use lazydram_common::{AddressMap, GpuConfig, SchedConfig, SimStats};
 use lazydram_core::{MemoryController, Response};
-use std::sync::OnceLock;
 
 /// Safety limits for one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,72 +60,6 @@ impl Default for SimLimits {
             max_core_cycles: 50_000_000,
         }
     }
-}
-
-/// Parses a `LAZYDRAM_NO_SKIP` value: `1`/`true` force the naive
-/// cycle-by-cycle loop, `0`/`false` keep event-driven fast-forward.
-///
-/// Kept separate from the env lookup so the validation is unit-testable.
-pub fn parse_no_skip(s: &str) -> Result<bool, String> {
-    match s.trim() {
-        "1" | "true" => Ok(true),
-        "0" | "false" => Ok(false),
-        _ => Err(format!(
-            "LAZYDRAM_NO_SKIP={s:?} is not a boolean; expected 1/true to \
-             disable cycle skipping or 0/false to keep it enabled"
-        )),
-    }
-}
-
-/// Whether `LAZYDRAM_NO_SKIP` disables fast-forward for this process.
-///
-/// # Panics
-///
-/// Panics on a malformed value instead of silently picking a loop mode (the
-/// two modes are result-identical but differ wildly in wall-clock).
-fn no_skip_from_env() -> bool {
-    static NO_SKIP: OnceLock<bool> = OnceLock::new();
-    *NO_SKIP.get_or_init(|| match std::env::var("LAZYDRAM_NO_SKIP") {
-        Ok(s) => parse_no_skip(&s).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => false,
-    })
-}
-
-/// Parses a `LAZYDRAM_NO_COMPUTE_SKIP` value: `1`/`true` restrict
-/// fast-forward to provably idle spans (the PR 2 behavior), `0`/`false`
-/// keep the analytic compute-burst skip enabled.
-///
-/// Kept separate from the env lookup so the validation is unit-testable.
-///
-/// # Errors
-///
-/// Returns a description of the expected format on anything else.
-pub fn parse_no_compute_skip(s: &str) -> Result<bool, String> {
-    match s.trim() {
-        "1" | "true" => Ok(true),
-        "0" | "false" => Ok(false),
-        _ => Err(format!(
-            "LAZYDRAM_NO_COMPUTE_SKIP={s:?} is not a boolean; expected 1/true \
-             to restrict fast-forward to idle spans or 0/false to keep the \
-             analytic compute-burst skip enabled"
-        )),
-    }
-}
-
-/// Whether `LAZYDRAM_NO_COMPUTE_SKIP` disables compute-burst skipping for
-/// this process. The escape hatch exists so `dbg_diverge` can bisect a
-/// compute-skip slip against the idle-only schedule.
-///
-/// # Panics
-///
-/// Panics on a malformed value instead of silently picking a loop mode (the
-/// modes are result-identical but differ wildly in wall-clock).
-fn no_compute_skip_from_env() -> bool {
-    static NO_COMPUTE_SKIP: OnceLock<bool> = OnceLock::new();
-    *NO_COMPUTE_SKIP.get_or_init(|| match std::env::var("LAZYDRAM_NO_COMPUTE_SKIP") {
-        Ok(s) => parse_no_compute_skip(&s).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => false,
-    })
 }
 
 /// The result of one kernel run.
@@ -320,16 +228,11 @@ struct LaunchMachine {
     next_warp: usize,
     /// Clock-divider residue: each core cycle adds `mem_hz` units and one
     /// memory tick fires per `core_hz` units accumulated. Unlike a floating
-    /// accumulator this is drift-free and can be advanced analytically
-    /// across skipped spans.
+    /// accumulator this is drift-free.
     acc: u64,
     mem_time: u64,
     core_cycle: u64,
     ticks_executed: u64,
-    cycles_skipped: u64,
-    /// The subset of `cycles_skipped` classified as compute-skip: spans
-    /// where at least one SM replayed `Computing` warps analytically.
-    compute_cycles_skipped: u64,
     /// Per-SM staging areas for phase A of the tick. Transient: consumed in
     /// phase B and reset at the next phase A, so they are never serialized.
     stages: Vec<SmStage>,
@@ -371,8 +274,6 @@ impl LaunchMachine {
             mem_time: 0,
             core_cycle: 0,
             ticks_executed: 0,
-            cycles_skipped: 0,
-            compute_cycles_skipped: 0,
             stages: (0..cfg.num_sms)
                 .map(|_| SmStage::new(cfg.num_channels))
                 .collect(),
@@ -403,15 +304,13 @@ impl LaunchMachine {
 
     /// Serializes the machine as a flat sequence of per-component frames.
     fn save_frames(&self, s: &mut Saver) {
-        s.frame("mach", 1, |s| {
+        s.frame("mach", 2, |s| {
             s.usize("total_warps", self.total_warps);
             s.usize("next_warp", self.next_warp);
             s.u64("acc", self.acc);
             s.u64("mem_time", self.mem_time);
             s.u64("core_cycle", self.core_cycle);
             s.u64("ticks_executed", self.ticks_executed);
-            s.u64("cycles_skipped", self.cycles_skipped);
-            s.u64("compute_cycles_skipped", self.compute_cycles_skipped);
         });
         for (i, sm) in self.sms.iter().enumerate() {
             s.frame("sm", i as u32, |s| sm.save_state(s));
@@ -450,7 +349,7 @@ impl LaunchMachine {
     /// their dynamic state loaded into them.
     fn load_frames(&mut self, l: &mut Loader<'_>, kernel: &dyn Kernel) -> SnapResult<()> {
         let expect_warps = self.total_warps;
-        let scalars = l.frame("mach", 1, |l| {
+        let scalars = l.frame("mach", 2, |l| {
             let tw = l.usize("total_warps")?;
             if tw != expect_warps {
                 return Err(SnapError::Malformed {
@@ -467,8 +366,6 @@ impl LaunchMachine {
                 l.u64("mem_time")?,
                 l.u64("core_cycle")?,
                 l.u64("ticks_executed")?,
-                l.u64("cycles_skipped")?,
-                l.u64("compute_cycles_skipped")?,
             ])
         })?;
         self.next_warp = scalars[0] as usize;
@@ -476,8 +373,6 @@ impl LaunchMachine {
         self.mem_time = scalars[2];
         self.core_cycle = scalars[3];
         self.ticks_executed = scalars[4];
-        self.cycles_skipped = scalars[5];
-        self.compute_cycles_skipped = scalars[6];
         for (i, sm) in self.sms.iter_mut().enumerate() {
             l.frame("sm", i as u32, |l| sm.load_state(l, kernel))?;
         }
@@ -524,8 +419,6 @@ pub struct Simulator {
     sched: SchedConfig,
     limits: SimLimits,
     capture_trace: bool,
-    cycle_skipping: bool,
-    compute_skipping: bool,
 }
 
 /// Outcome of driving one launch's machine.
@@ -572,7 +465,6 @@ struct Restored {
 
 impl Simulator {
     /// Creates a simulator for a GPU configuration and scheduling policy.
-    /// Event-driven cycle skipping is on unless `LAZYDRAM_NO_SKIP=1`.
     ///
     /// # Panics
     ///
@@ -590,8 +482,6 @@ impl Simulator {
             sched,
             limits: SimLimits::default(),
             capture_trace: false,
-            cycle_skipping: !no_skip_from_env(),
-            compute_skipping: !no_compute_skip_from_env(),
         }
     }
 
@@ -605,23 +495,6 @@ impl Simulator {
     /// [`RunResult::trace`] and can be replayed with [`Trace::replay`].
     pub fn with_trace_capture(mut self, capture: bool) -> Self {
         self.capture_trace = capture;
-        self
-    }
-
-    /// Forces event-driven cycle skipping on or off, overriding the
-    /// `LAZYDRAM_NO_SKIP` environment default. Results are bit-identical
-    /// either way; only wall-clock changes.
-    pub fn with_cycle_skipping(mut self, enabled: bool) -> Self {
-        self.cycle_skipping = enabled;
-        self
-    }
-
-    /// Forces analytic compute-burst skipping on or off, overriding the
-    /// `LAZYDRAM_NO_COMPUTE_SKIP` environment default. Only effective while
-    /// cycle skipping itself is enabled; results are bit-identical either
-    /// way, only wall-clock changes.
-    pub fn with_compute_skipping(mut self, enabled: bool) -> Self {
-        self.compute_skipping = enabled;
         self
     }
 
@@ -811,13 +684,8 @@ impl Simulator {
     fn config_digest(&self) -> u64 {
         digest(
             format!(
-                "{:?}|{:?}|{:?}|{}|{}|{}",
-                self.cfg,
-                self.sched,
-                self.limits,
-                self.capture_trace,
-                self.cycle_skipping,
-                self.compute_skipping
+                "{:?}|{:?}|{:?}|{}",
+                self.cfg, self.sched, self.limits, self.capture_trace
             )
             .as_bytes(),
         )
@@ -908,7 +776,7 @@ impl Simulator {
                 return Err(SnapError::Malformed {
                     label: "cfg_digest".into(),
                     why: "checkpoint was taken under a different GPU/scheduler \
-                          configuration (or limits/trace/skipping settings)"
+                          configuration (or limits/trace settings)"
                         .into(),
                 });
             }
@@ -1018,7 +886,7 @@ impl Simulator {
     /// Drives one launch's machine until the launch finishes, the cycle
     /// limit trips, or the cumulative pause target is reached.
     ///
-    /// Each executed cycle is a *phased tick* (see `DESIGN.md` §12):
+    /// Each cycle is a *phased tick* (see `DESIGN.md` §12):
     ///
     /// * **A** — every SM ticks against a read-only memory image and a
     ///   private staging area;
@@ -1050,11 +918,8 @@ impl Simulator {
             mem_time,
             core_cycle,
             ticks_executed,
-            cycles_skipped,
-            compute_cycles_skipped,
             stages,
         } = m;
-        let compute_skipping = self.compute_skipping;
         let total_warps = *total_warps;
         let core_hz = u64::from(cfg.core_clock_mhz);
         let mem_hz = u64::from(cfg.mem_clock_mhz);
@@ -1069,61 +934,6 @@ impl Simulator {
         let mut resp_buf: Vec<Response> = Vec::new();
 
         loop {
-            // 0. Fast-forward over provably idle — or busy but analytically
-            //    predictable — cycles. Runs at the top of the iteration,
-            //    before the next cycle executes, so a resumed run re-derives
-            //    the remainder of a skip the pause cut short, keeping the
-            //    executed/skipped accounting bit-identical to the
-            //    uninterrupted run.
-            if self.cycle_skipping && *core_cycle > 0 {
-                let _t_ff = prof::enter(Phase::FastForward);
-                let mut target = next_interesting_cycle(
-                    *core_cycle, limit, *acc, core_hz, mem_hz, *mem_time, compute_skipping,
-                    sms, slices, req_noc, reply_noc, mcs,
-                );
-                if let Some(p) = pause {
-                    // Never skip past the pause point: any prefix of a
-                    // skippable span is itself skippable (idle cycles stay
-                    // idle; a compute replay is valid for every shorter
-                    // span), so clamping preserves equivalence.
-                    target = target.min(p.saturating_add(1));
-                }
-                if target > *core_cycle + 1 {
-                    let skipped = target - *core_cycle - 1;
-                    // Replay each SM's round-robin compute schedule over the
-                    // span in closed form — the exact grants, `rr` cursor
-                    // moves and `Computing -> Ready` transitions the naive
-                    // loop would have produced. A span where any SM did so
-                    // is accounted as compute-skip; pure idle spans keep the
-                    // PR 2 idle-skip classification.
-                    let mut advanced_compute = false;
-                    if compute_skipping {
-                        for sm in sms.iter_mut() {
-                            advanced_compute |= sm.advance_compute(skipped);
-                        }
-                    }
-                    // Advance the memory clock analytically over the
-                    // skipped span; the controllers see the exact same tick
-                    // count (all of them no-ops) as the naive loop would
-                    // have executed.
-                    let units =
-                        u128::from(*acc) + u128::from(skipped) * u128::from(mem_hz);
-                    let mem_ticks = (units / u128::from(core_hz)) as u64;
-                    *acc = (units % u128::from(core_hz)) as u64;
-                    if mem_ticks > 0 {
-                        *mem_time += mem_ticks;
-                        for mc in mcs.iter_mut() {
-                            mc.advance_idle(*mem_time);
-                        }
-                    }
-                    *cycles_skipped += skipped;
-                    if advanced_compute {
-                        *compute_cycles_skipped += skipped;
-                    }
-                    *core_cycle = target - 1;
-                }
-            }
-
             if let Some(p) = pause {
                 if *core_cycle >= p {
                     break StepOutcome::Paused;
@@ -1246,8 +1056,6 @@ impl LaunchMachine {
 
         total.core_cycles += self.core_cycle;
         total.ticks_executed += self.ticks_executed;
-        total.cycles_skipped += self.cycles_skipped;
-        total.compute_cycles_skipped += self.compute_cycles_skipped;
         for sm in &self.sms {
             total.instructions += sm.instructions;
             total.l1_hits += sm.l1().hits();
@@ -1302,96 +1110,6 @@ impl LaunchMachine {
     }
 }
 
-/// The next core cycle at which executing the loop body could have any
-/// *externally unpredictable* effect, given that the current cycle's phases
-/// just completed and the termination check failed. Every cycle strictly
-/// between `now` and the returned cycle is either a provable no-op for
-/// every component or (with `compute_skip`) a pure compute-issue cycle that
-/// [`Sm::advance_compute`] replays in closed form. Clamped to `limit + 1`,
-/// where the loop exits without running phases; with no event at all (a
-/// stalled run headed for the cycle limit) the clamp is returned.
-#[allow(clippy::too_many_arguments)]
-fn next_interesting_cycle(
-    now: u64,
-    limit: u64,
-    acc: u64,
-    core_hz: u64,
-    mem_hz: u64,
-    mem_time: u64,
-    compute_skip: bool,
-    sms: &[Sm],
-    slices: &[Slice],
-    req_noc: &[DelayQueue<SliceReq>],
-    reply_noc: &[DelayQueue<Reply>],
-    mcs: &mut [MemoryController],
-) -> u64 {
-    let mut next = limit.saturating_add(1);
-    if next <= now + 1 || slices.iter().any(Slice::has_work) {
-        return now + 1;
-    }
-    if compute_skip {
-        // An SM needs a real tick no later than its next external event:
-        // the earliest cycle it can emit a request, complete a drain, or
-        // issue a non-compute op. Purely computing SMs report the closed-
-        // form end of their round-robin burst instead of bailing, which is
-        // what extends fast-forward from idle spans to busy ones.
-        for sm in sms {
-            match sm.next_external_event(now) {
-                Some(event) if event <= now + 1 => return now + 1,
-                Some(event) => next = next.min(event),
-                None => {}
-            }
-        }
-    } else if sms.iter().any(Sm::has_work) {
-        return now + 1;
-    }
-    // Parked store retries are events only when they would succeed; a
-    // failing retry leaves the warp exactly as it found it, and request-NoC
-    // occupancy cannot change during the span (no SM has drainable work, no
-    // slice services a head) so it keeps failing identically.
-    if sms.iter().any(|s| s.stalled_store_ready(req_noc)) {
-        return now + 1;
-    }
-    for (i, q) in req_noc.iter().enumerate() {
-        let Some(ready) = q.next_ready_cycle() else {
-            continue;
-        };
-        if ready > now + 1 {
-            next = next.min(ready);
-        } else if q.peek().is_some_and(|req| slices[i].would_service(req, &mcs[i])) {
-            return now + 1;
-        }
-        // A ready head the slice cannot service (controller backpressure)
-        // is not an event: the slice would pop it and park it right back.
-        // The unblocking condition changes only on a controller event,
-        // which the controller scan below contributes.
-    }
-    for q in reply_noc {
-        if let Some(ready) = q.next_ready_cycle() {
-            next = next.min(ready.max(now + 1));
-        }
-    }
-    if next == now + 1 {
-        return next;
-    }
-    // Memory-side events arrive in memory cycles. Map the j-th future
-    // memory tick back to the core cycle whose accumulator step fires it:
-    // the smallest k >= 1 with acc + k * mem_hz >= j * core_hz.
-    for mc in mcs.iter_mut() {
-        if let Some(me) = mc.next_event_cycle() {
-            debug_assert!(me > mem_time, "memory event must lie in the future");
-            let j = u128::from(me - mem_time);
-            let need = j * u128::from(core_hz) - u128::from(acc);
-            let k = need.div_ceil(u128::from(mem_hz));
-            let event = u128::from(now).saturating_add(k);
-            if event < u128::from(next) {
-                next = event as u64;
-            }
-        }
-    }
-    next.max(now + 1)
-}
-
 /// Convenience: runs `kernel` under `sched` on the default GPU and returns
 /// the result.
 ///
@@ -1412,36 +1130,6 @@ pub fn run_kernel(kernel: &mut dyn Kernel, cfg: &GpuConfig, sched: &SchedConfig)
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_no_skip_accepts_booleans() {
-        assert_eq!(parse_no_skip("1"), Ok(true));
-        assert_eq!(parse_no_skip("true"), Ok(true));
-        assert_eq!(parse_no_skip(" 0 "), Ok(false));
-        assert_eq!(parse_no_skip("false"), Ok(false));
-    }
-
-    #[test]
-    fn parse_no_skip_rejects_garbage() {
-        assert!(parse_no_skip("yes").is_err());
-        assert!(parse_no_skip("").is_err());
-        assert!(parse_no_skip("2").is_err());
-    }
-
-    #[test]
-    fn parse_no_compute_skip_accepts_booleans() {
-        assert_eq!(parse_no_compute_skip("1"), Ok(true));
-        assert_eq!(parse_no_compute_skip("true"), Ok(true));
-        assert_eq!(parse_no_compute_skip(" 0 "), Ok(false));
-        assert_eq!(parse_no_compute_skip("false"), Ok(false));
-    }
-
-    #[test]
-    fn parse_no_compute_skip_rejects_garbage() {
-        assert!(parse_no_compute_skip("yes").is_err());
-        assert!(parse_no_compute_skip("").is_err());
-        assert!(parse_no_compute_skip("2").is_err());
-    }
 
     #[test]
     #[should_panic(expected = "line_bytes = 256 is unsupported")]

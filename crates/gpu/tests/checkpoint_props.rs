@@ -1,13 +1,12 @@
 //! Property test: pausing a run at an arbitrary cycle and resuming from the
 //! checkpoint is invisible — the resumed run's result is **bit-identical**
-//! to the uninterrupted run's, including the executed/skipped cycle
-//! accounting and the DRAM trace, with fast-forward on or off.
+//! to the uninterrupted run's, including the executed-cycle accounting
+//! and the DRAM trace.
 //!
 //! The suite-level test (`tests/checkpoint_equivalence.rs` at the workspace
 //! root) covers the 20 real applications; this one probes odd corners with
 //! random synthetic kernels, random schemes, and random pause points —
-//! including pauses inside fast-forwarded spans and serializing the
-//! checkpoint through bytes.
+//! including serializing the checkpoint through bytes.
 
 use lazydram_common::{AmsMode, DmsMode, GpuConfig, SchedConfig};
 use lazydram_gpu::{
@@ -173,8 +172,6 @@ proptest! {
         pick in 0u8..6,
         dms_delay in 1u32..2049,
         ams_th in 0u32..16,
-        skip in proptest::arbitrary::any::<bool>(),
-        compute_skip in proptest::arbitrary::any::<bool>(),
         pause_frac in 0u64..100,
         second_frac in 0u64..100,
     ) {
@@ -193,8 +190,6 @@ proptest! {
             Simulator::new(GpuConfig::default(), sched.clone())
                 .with_limits(limits)
                 .with_trace_capture(true)
-                .with_cycle_skipping(skip)
-                .with_compute_skipping(compute_skip)
         };
 
         // Reference: the uninterrupted run.

@@ -44,7 +44,7 @@ pub const DEFAULT_CHECKPOINT_EVERY: u64 = 5_000_000;
 /// Parses a `LAZYDRAM_CHECKPOINT_EVERY` value: a positive cycle count.
 ///
 /// Kept separate from [`CheckpointPolicy::from_env`] so the validation is
-/// unit-testable, following the `parse_scale`/`parse_no_skip` pattern.
+/// unit-testable, following the `parse_scale` pattern.
 pub fn parse_checkpoint_every(s: &str) -> Result<u64, String> {
     match s.trim().parse::<u64>() {
         Ok(n) if n >= 1 => Ok(n),
@@ -332,15 +332,13 @@ pub struct SimBuilder {
     scale: f64,
     limits: SimLimits,
     trace: bool,
-    skip: Option<bool>,
-    compute_skip: Option<bool>,
     checkpoints: Option<CheckpointPolicy>,
 }
 
 impl SimBuilder {
     /// Starts a builder for `app` with the defaults every harness shares:
     /// baseline scheme, default GPU, scale 1.0, default safety limits, no
-    /// trace capture, cycle skipping from the environment.
+    /// trace capture.
     pub fn new(app: &AppSpec) -> Self {
         Self {
             app: app.clone(),
@@ -350,8 +348,6 @@ impl SimBuilder {
             scale: 1.0,
             limits: SimLimits::default(),
             trace: false,
-            skip: None,
-            compute_skip: None,
             checkpoints: None,
         }
     }
@@ -401,22 +397,6 @@ impl SimBuilder {
         self
     }
 
-    /// Forces the event-driven fast-forward on or off (default: on, unless
-    /// `LAZYDRAM_NO_SKIP` is set).
-    pub fn cycle_skipping(mut self, enabled: bool) -> Self {
-        self.skip = Some(enabled);
-        self
-    }
-
-    /// Forces the analytic compute-burst fast-forward on or off (default:
-    /// on, unless `LAZYDRAM_NO_COMPUTE_SKIP` is set). Only meaningful while
-    /// cycle skipping itself is enabled: with skipping off entirely, the
-    /// master loop never consults the SM schedule analytically.
-    pub fn compute_skipping(mut self, enabled: bool) -> Self {
-        self.compute_skip = Some(enabled);
-        self
-    }
-
     /// Attaches a periodic checkpoint policy; `None` disables checkpointing.
     pub fn checkpoints(mut self, policy: Option<CheckpointPolicy>) -> Self {
         self.checkpoints = policy;
@@ -446,11 +426,11 @@ impl SimBuilder {
 
     /// Content digest of this *cell*: everything that determines the
     /// simulation's results — app, scheme label, scale bits, machine config,
-    /// scheduling policy, safety limits. Deliberately **excludes** the knobs
-    /// proven result-invariant by the bit-identity suites (`cycle_skipping`,
-    /// `compute_skipping`, trace capture), so the result store keyed on this
-    /// digest serves hits across them. The checkpoint tag (which guards
-    /// *trajectory* resumption, not results) keeps including them.
+    /// scheduling policy, safety limits. Deliberately **excludes** trace
+    /// capture, which the bit-identity suites prove result-invariant, so the
+    /// result store keyed on this digest serves hits across it. The
+    /// checkpoint tag (which guards *trajectory* resumption, not results)
+    /// keeps including it.
     pub fn cell_digest(&self) -> u64 {
         digest(
             format!(
@@ -474,29 +454,21 @@ impl SimBuilder {
         // anyway; the tag avoids even attempting it).
         let tag = digest(
             format!(
-                "{}|{}|{:x}|{:?}|{:?}|{:?}|{}|{:?}|{:?}",
+                "{}|{}|{:x}|{:?}|{:?}|{:?}|{}",
                 self.app.name,
                 self.label,
                 self.scale.to_bits(),
                 self.cfg,
                 self.sched,
                 self.limits,
-                self.trace,
-                self.skip,
-                self.compute_skip
+                self.trace
             )
             .as_bytes(),
         );
         let backend = self.cfg.backend;
-        let mut sim = Simulator::new(self.cfg, self.sched)
+        let sim = Simulator::new(self.cfg, self.sched)
             .with_limits(self.limits)
             .with_trace_capture(self.trace);
-        if let Some(skip) = self.skip {
-            sim = sim.with_cycle_skipping(skip);
-        }
-        if let Some(compute_skip) = self.compute_skip {
-            sim = sim.with_compute_skipping(compute_skip);
-        }
         SimRun {
             app: self.app,
             scale: self.scale,
@@ -808,10 +780,8 @@ mod tests {
         let app = crate::suite::by_name("SCP").expect("app");
         let base = SimBuilder::new(&app).scheme(Scheme::DynCombo);
         let d = base.clone().cell_digest();
-        // Result-invariant knobs (proven by the bit-identity suites) do not
-        // split the cache namespace…
-        assert_eq!(d, base.clone().cycle_skipping(false).cell_digest());
-        assert_eq!(d, base.clone().compute_skipping(false).cell_digest());
+        // Trace capture (proven result-invariant by the bit-identity
+        // suites) does not split the cache namespace…
         assert_eq!(d, base.clone().trace(true).cell_digest());
         // …while anything that changes the measured results does.
         assert_ne!(d, base.clone().scale(0.5).cell_digest());

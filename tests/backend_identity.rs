@@ -9,6 +9,11 @@
 //! against the captured lines — any drift in timing, statistics, energy or
 //! float formatting fails here before it reaches the tier-1 figure diff
 //! (which compares the *full* 140/77-record files).
+//!
+//! Both sides drop the three loop counters (`cycles_skipped`,
+//! `compute_cycles_skipped`, `ticks_executed`) before comparing: the
+//! captures were taken under an event-driven loop that skipped cycles, and
+//! the counters describe how the loop ran, not what it computed.
 
 use lazydram::bench::{measure, Measurement};
 use lazydram::common::{DmsMode, SchedConfig};
@@ -27,11 +32,31 @@ fn captured(file: &str, app: &str, scheme: &str) -> String {
         .to_string()
 }
 
+/// Removes each `"<counter>":<digits>,` loop-counter field from a JSONL
+/// record, like tier1.sh's `strip_loop_counters`.
+fn strip_loop_counters(line: &str) -> String {
+    let mut s = line.to_string();
+    for key in ["cycles_skipped", "compute_cycles_skipped", "ticks_executed"] {
+        let pat = format!("\"{key}\":");
+        if let Some(start) = s.find(&pat) {
+            let digits = s[start + pat.len()..]
+                .bytes()
+                .take_while(u8::is_ascii_digit)
+                .count();
+            let end = start + pat.len() + digits;
+            if digits > 0 && s[end..].starts_with(',') {
+                s.replace_range(start..=end, "");
+            }
+        }
+    }
+    s
+}
+
 fn assert_cell_matches(file: &str, m: &Measurement) {
     let want = captured(file, &m.app, &m.scheme);
     assert_eq!(
-        m.to_json(),
-        want,
+        strip_loop_counters(&m.to_json()),
+        strip_loop_counters(&want),
         "{}/{}: GDDR5 backend drifted from the pre-trait capture",
         m.app,
         m.scheme

@@ -1,12 +1,13 @@
 //! Checkpoint/resume must be invisible in results: interrupting any
 //! application at an arbitrary cycle and resuming from the serialized
 //! checkpoint must produce a **byte-identical** [`RunResult`] — output,
-//! statistics (including the executed/skipped cycle accounting), limit
-//! flag, and DRAM trace — to the uninterrupted run.
+//! statistics (including the executed-cycle accounting), limit flag, and
+//! DRAM trace — to the uninterrupted run.
 //!
-//! The full `(app × scheme × skip-mode)` cross at tiny scale is covered by
-//! the fast skip-on sweep plus a rotating naive-loop sweep; the exhaustive
-//! skip-off cross is available behind `--ignored` for acceptance runs.
+//! The `(app × scheme)` cross at tiny scale runs with a rotating pause
+//! fraction, plus a second per-app rotation over other fractions; the
+//! exhaustive `(app × scheme × pause fraction)` cross is available behind
+//! `--ignored` for acceptance runs.
 
 use lazydram::common::SchedConfig;
 use lazydram::gpu::{Checkpoint, RunOutcome, RunResult, SimLimits};
@@ -15,13 +16,12 @@ use lazydram::{SimBuilder, SimRun};
 
 const SCALE: f64 = 0.02;
 
-fn sim(app: &AppSpec, sched: &SchedConfig, skip: bool) -> SimRun {
+fn sim(app: &AppSpec, sched: &SchedConfig) -> SimRun {
     SimBuilder::new(app)
         .sched(sched.clone(), "ckpt")
         .scale(SCALE)
         .limits(SimLimits::default())
         .trace(true)
-        .cycle_skipping(skip)
         .build()
 }
 
@@ -46,15 +46,9 @@ fn assert_identical(name: &str, scheme: &str, a: &RunResult, b: &RunResult) {
 /// Runs `app` uninterrupted, then interrupted at `frac` of its total cycles
 /// with the checkpoint round-tripped through bytes, and asserts the two
 /// results are byte-identical. Returns the pause cycle actually used.
-fn assert_resume_identical(
-    app: &AppSpec,
-    scheme: &str,
-    sched: &SchedConfig,
-    skip: bool,
-    frac: u64,
-) -> u64 {
+fn assert_resume_identical(app: &AppSpec, scheme: &str, sched: &SchedConfig, frac: u64) -> u64 {
     let name = app.name;
-    let run = sim(app, sched, skip);
+    let run = sim(app, sched);
     let reference = run.run();
     let pause_at = reference.stats.core_cycles * frac / 100;
     let ck = match run.run_until(pause_at) {
@@ -78,25 +72,26 @@ fn assert_resume_identical(
 
 #[test]
 fn whole_suite_all_schemes_resume_identically() {
-    // Skip-on (the default loop): full app × scheme cross, with the pause
-    // fraction rotating so early, middle and late interrupts all occur.
+    // Full app × scheme cross, with the pause fraction rotating so early,
+    // middle and late interrupts all occur.
     let schemes = schemes();
     for (i, app) in all_apps().into_iter().enumerate() {
         for (j, (label, sched)) in schemes.iter().enumerate() {
             let frac = [13, 37, 50, 73, 91][(i + j) % 5];
-            assert_resume_identical(&app, label, sched, true, frac);
+            assert_resume_identical(&app, label, sched, frac);
         }
     }
 }
 
 #[test]
 fn naive_loop_resume_rotation_is_identical() {
-    // Skip-off (naive cycle-by-cycle loop): rotate schemes across the suite
-    // so every app resumes once and every scheme is exercised several times.
+    // A second rotation over pause fractions the cross above never uses
+    // (20–76 %): every app resumes once and every scheme is exercised
+    // several times.
     let schemes = schemes();
     for (i, app) in all_apps().into_iter().enumerate() {
         let (label, sched) = &schemes[i % schemes.len()];
-        assert_resume_identical(&app, label, sched, false, 20 + 7 * (i as u64 % 9));
+        assert_resume_identical(&app, label, sched, 20 + 7 * (i as u64 % 9));
     }
 }
 
@@ -106,7 +101,7 @@ fn multi_launch_sequence_resumes_inside_later_launch() {
     // inside a later launch, exercising launch-index bookkeeping and the
     // scratch-image kernel rebuild on resume.
     let app = by_name("3MM").expect("app");
-    let run = sim(&app, &SchedConfig::dyn_combo(), true);
+    let run = sim(&app, &SchedConfig::dyn_combo());
     let reference = run.run();
     let pause_at = reference.stats.core_cycles * 4 / 5;
     let ck = run.run_until(pause_at).expect_paused("3MM at 80% must still be running");
@@ -121,7 +116,7 @@ fn chained_checkpoints_reach_the_same_result() {
     // restart a job several times, and every hop must stay on the exact
     // trajectory.
     let app = by_name("SCP").expect("app");
-    let run = sim(&app, &SchedConfig::static_dms(), true);
+    let run = sim(&app, &SchedConfig::static_dms());
     let reference = run.run();
     let total = reference.stats.core_cycles;
     let ck1 = run.run_until(total / 4).expect_paused("SCP at 25%");
@@ -139,13 +134,12 @@ fn chained_checkpoints_reach_the_same_result() {
 
 #[test]
 #[ignore = "exhaustive acceptance cross (slow): run with --ignored"]
-fn exhaustive_cross_including_naive_loop() {
+fn exhaustive_cross_every_pause_fraction() {
     let schemes = schemes();
-    for (i, app) in all_apps().into_iter().enumerate() {
-        for (j, (label, sched)) in schemes.iter().enumerate() {
-            for (k, skip) in [true, false].into_iter().enumerate() {
-                let frac = [13, 37, 50, 73, 91][(i + j + k) % 5];
-                assert_resume_identical(&app, label, sched, skip, frac);
+    for app in all_apps() {
+        for (label, sched) in &schemes {
+            for frac in [13, 37, 50, 73, 91] {
+                assert_resume_identical(&app, label, sched, frac);
             }
         }
     }

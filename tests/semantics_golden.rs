@@ -13,15 +13,21 @@
 //!   values.
 //! * **If you did not mean to change behavior**: this is a regression; the
 //!   digest caught results drifting. Fix the code, not the pin.
-//! * Speed-only changes (fast-forward, parallelism, allocation) must NOT
-//!   trip this test — if one does, it changed results, not just speed.
+//! * Speed-only changes (loop structure, allocation) must NOT trip this
+//!   test — if one does, it changed results, not just speed.
 //! * **Wire-format changes** (a new serialized statistics field, a `snap`
 //!   frame version bump) change the stored *bytes* without changing the
 //!   measured results. Those re-pin the digest here and bump
 //!   `STORE_VERSION` in `crates/bench/src/store.rs`, but leave
 //!   `SEMANTICS_VERSION` alone — prove results are untouched via the
-//!   bit-identity suites (`tests/fast_forward_equivalence.rs` and the
-//!   tier1 figure captures) before re-pinning.
+//!   bit-identity checks (tier1's fig04/fig12 captures and
+//!   `tests/backend_identity.rs`) before re-pinning.
+//! * **Loop-counter changes** (`cycles_skipped`, `compute_cycles_skipped`,
+//!   `ticks_executed`) are stored bytes too. The pins below were re-taken
+//!   when the event-driven fast-forward was deleted: they are the digests
+//!   the previous revision printed with fast-forward switched off, which
+//!   the plain loop now reproduces exactly.
+//!   Neither version constant moved, since no measured result changed.
 
 use lazydram::bench::store::encode_entry;
 use lazydram::bench::{measure, Measurement};
@@ -34,17 +40,17 @@ use lazydram::{Scheme, SimBuilder};
 /// re-pin protocol. (The digest covers stored bytes, so `STORE_VERSION`
 /// bumps re-pin it too; v3 re-pin carried no behavior change — the
 /// default-machine cells were byte-identical across the bump.)
-const PINNED: (u64, u64) = (1, 0xd2c685aaa0c7f114);
+const PINNED: (u64, u64) = (1, 0x92bfa379f4eccf4a);
 
 /// One golden cell per non-default memory backend: SCP under the headline
 /// scheme on each new backend model. A drifting digest here with a clean
 /// [`PINNED`] means only the new backends changed behavior — same re-pin
 /// protocol, scoped to the named backend.
 const PINNED_BACKENDS: [(DramPreset, u64); 4] = [
-    (DramPreset::Naive, 0x9b3eea56c5980d17),
-    (DramPreset::Ddr4, 0x7a077a259977b513),
-    (DramPreset::Lpddr4, 0x0b8861394b8dd44f),
-    (DramPreset::Flex, 0x4584e5a18ecf97d0),
+    (DramPreset::Naive, 0x4c5a6a7626de5beb),
+    (DramPreset::Ddr4, 0x42942b14fe448cb1),
+    (DramPreset::Lpddr4, 0xa754532770a2d249),
+    (DramPreset::Flex, 0x1f9f9c0e0bbbeb09),
 ];
 
 fn cell(app: &str, scheme: Scheme) -> Measurement {
