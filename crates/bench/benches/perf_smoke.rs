@@ -21,23 +21,9 @@
 //! its recorded pre-PR wall clock. `tier1.sh` sets this so a perf
 //! regression fails the suite loudly instead of drifting in silently.
 //!
-//! # Trace replay smoke (`BENCH_PR6.json`)
-//!
-//! A second section captures each app's baseline request trace once and
-//! replays the fig04 delay sweep through MC + DRAM only, recording the
-//! replayed-vs-executed **speedup** and **error envelope** (relative error
-//! in activations / Avg-RBL / row energy per delay cell) to
-//! `LAZYDRAM_TRACE_BENCH_OUT` (default `BENCH_PR6.json`). With
-//! `LAZYDRAM_MIN_TRACE_SPEEDUP=<ratio>` set (tier1.sh uses 5), the
-//! benchmark exits non-zero unless at least one app's replay-only sweep
-//! speedup clears the ratio (per-app speedups vary with the app's
-//! request density — a memory-heavy stream pays for replay roughly what
-//! it pays for execution); a replay that leaves any request unserved
-//! always fails.
-//!
 //! # Result-cache smoke (`BENCH_PR8.json`)
 //!
-//! A third section runs a fig04-style delay sweep against a fresh
+//! A second section runs a fig04-style delay sweep against a fresh
 //! content-addressed store twice — cold (populating it) and warm (served
 //! from it by a fresh runner, so every hit takes the disk path) — asserts
 //! the warm measurements equal the cold ones and that the warm run
@@ -53,11 +39,9 @@
 
 use lazydram_bench::{
     scale_from_env, CacheMode, CachePolicy, MeasureSpec, Measurement, SimBuilder, SweepRunner,
-    TraceSim,
 };
 use lazydram_common::json::{array, JsonObject};
 use lazydram_common::{DmsMode, GpuConfig, SchedConfig};
-use lazydram_energy::{EnergyModel, MemoryTech};
 use lazydram_workloads::by_name;
 use std::time::Instant;
 
@@ -133,147 +117,6 @@ fn load_baseline_file(env: &str, default_name: &str) -> Option<Vec<BaselineRow>>
         rows.push(BaselineRow { app: app.to_string(), scheme: scheme.to_string(), secs });
     }
     Some(rows)
-}
-
-/// One delay cell of the trace replay smoke: executed vs replayed.
-struct TraceCell {
-    delay: u32,
-    exec_s: f64,
-    replay_s: f64,
-    act_err: f64,
-    rbl_err: f64,
-    energy_err: f64,
-}
-
-/// Relative error of `replayed` against the executed reference.
-fn rel_err(replayed: f64, executed: f64) -> f64 {
-    if executed == 0.0 {
-        if replayed == 0.0 { 0.0 } else { f64::INFINITY }
-    } else {
-        (replayed - executed).abs() / executed
-    }
-}
-
-/// Captures each app's baseline trace and replays the fig04 delay sweep,
-/// writing speedup + error envelope to `LAZYDRAM_TRACE_BENCH_OUT`. Returns
-/// `false` when `LAZYDRAM_MIN_TRACE_SPEEDUP` is set and no app's
-/// replay-only sweep speedup reaches it.
-fn trace_smoke(scale: f64) -> bool {
-    const TRACE_APPS: &[&str] = &["SCP", "SLA"];
-    let delays = [64u32, 128, 256, 512, 1024, 2048];
-    let cfg = GpuConfig::default();
-    let energy = EnergyModel::new(MemoryTech::Gddr5);
-    let min_speedup = ratio_from_env("LAZYDRAM_MIN_TRACE_SPEEDUP");
-    let mut best_speedup = 0.0_f64;
-    let mut json_rows = Vec::new();
-    eprintln!("\ntrace replay smoke (fig04 delay sweep, capture once, replay each cell):");
-    for app in TRACE_APPS {
-        let spec = by_name(app).expect("known app");
-        let t0 = Instant::now();
-        let r = SimBuilder::new(&spec)
-            .sched(SchedConfig::baseline(), "baseline")
-            .scale(scale)
-            .trace(true)
-            .build()
-            .run();
-        let capture_s = t0.elapsed().as_secs_f64();
-        let trace = r.trace.expect("capture enabled");
-        let mut cells = Vec::new();
-        for &x in &delays {
-            let sched = SchedConfig { dms: DmsMode::Static(x), ..SchedConfig::baseline() };
-            let t0 = Instant::now();
-            let exec = SimBuilder::new(&spec)
-                .sched(sched.clone(), "DMS")
-                .scale(scale)
-                .build()
-                .run()
-                .stats;
-            let exec_s = t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            let report = TraceSim::new(&cfg, &sched)
-                .replay(&trace)
-                .unwrap_or_else(|e| panic!("{app} trace replay failed: {e}"));
-            let replay_s = t0.elapsed().as_secs_f64();
-            assert_eq!(
-                report.unserved, 0,
-                "{app}/DMS({x}): replay left {} requests unserved",
-                report.unserved
-            );
-            cells.push(TraceCell {
-                delay: x,
-                exec_s,
-                replay_s,
-                act_err: rel_err(
-                    report.stats.dram.activations as f64,
-                    exec.dram.activations as f64,
-                ),
-                rbl_err: rel_err(report.stats.dram.avg_rbl(), exec.dram.avg_rbl()),
-                energy_err: rel_err(
-                    energy.breakdown(&report.stats.dram).row_energy_pj,
-                    energy.breakdown(&exec.dram).row_energy_pj,
-                ),
-            });
-        }
-        let exec_sweep_s: f64 = cells.iter().map(|c| c.exec_s).sum();
-        let replay_sweep_s: f64 = cells.iter().map(|c| c.replay_s).sum();
-        let speedup = exec_sweep_s / replay_sweep_s.max(1e-9);
-        let max_err = cells
-            .iter()
-            .flat_map(|c| [c.act_err, c.rbl_err, c.energy_err])
-            .fold(0.0_f64, f64::max);
-        eprintln!(
-            "  {app}: {n} requests, executed {exec_sweep_s:.3}s vs replayed {replay_sweep_s:.3}s \
-             ({speedup:.1}x; {with_cap:.1}x with the {capture_s:.3}s capture), \
-             worst envelope error {err:.1}%",
-            n = trace.len(),
-            with_cap = exec_sweep_s / (replay_sweep_s + capture_s).max(1e-9),
-            err = 100.0 * max_err,
-        );
-        best_speedup = best_speedup.max(speedup);
-        let cell_json: Vec<String> = cells
-            .iter()
-            .map(|c| {
-                let mut o = JsonObject::new();
-                o.u64("delay", u64::from(c.delay))
-                    .f64("exec_s", c.exec_s)
-                    .f64("replay_s", c.replay_s)
-                    .f64("act_err", c.act_err)
-                    .f64("rbl_err", c.rbl_err)
-                    .f64("energy_err", c.energy_err);
-                o.finish()
-            })
-            .collect();
-        let mut o = JsonObject::new();
-        o.str("app", app)
-            .f64("scale", scale)
-            .u64("requests", trace.len() as u64)
-            .f64("capture_s", capture_s)
-            .f64("exec_sweep_s", exec_sweep_s)
-            .f64("replay_sweep_s", replay_sweep_s)
-            .f64("speedup_replay_only", speedup)
-            .f64(
-                "speedup_with_capture",
-                exec_sweep_s / (replay_sweep_s + capture_s).max(1e-9),
-            )
-            .f64("max_envelope_err", max_err)
-            .raw("cells", &array(&cell_json));
-        json_rows.push(o.finish());
-    }
-    let out = std::env::var("LAZYDRAM_TRACE_BENCH_OUT")
-        .unwrap_or_else(|_| "BENCH_PR6.json".to_string());
-    std::fs::write(&out, array(&json_rows) + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-    eprintln!("wrote {out}");
-    match min_speedup {
-        Some(cap) if best_speedup < cap => {
-            eprintln!(
-                "TRACE SPEEDUP REGRESSION: best replay-only sweep speedup {best_speedup:.1}x \
-                 misses the {cap}x gate"
-            );
-            false
-        }
-        _ => true,
-    }
 }
 
 /// Runs the same fig04-style delay sweep cold (fresh store) and warm (fresh
@@ -556,7 +399,6 @@ fn main() {
 
     let pr10_ok = pr10_smoke(&rows, scale);
 
-    let trace_ok = trace_smoke(scale);
     let cache_ok = cache_smoke(scale);
 
     if let Some(cap) = max_regression {
@@ -583,7 +425,7 @@ fn main() {
         }
         eprintln!("perf gate passed (no app slower than {cap}x pre-PR)");
     }
-    if !trace_ok || !cache_ok || !pr10_ok {
+    if !cache_ok || !pr10_ok {
         std::process::exit(1);
     }
 }

@@ -1,28 +1,24 @@
-//! Trace capture/replay workbench: capture request traces, replay them
-//! under arbitrary schemes, and — the validation harness — measure the
-//! open-loop **error envelope** (replayed vs execution-driven results) and
-//! the replay speedup per app.
+//! Open-loop trace validation: measure the **error envelope** of replaying
+//! an app's baseline request trace (replayed vs execution-driven results)
+//! and the replay speedup per app. To capture or replay a trace file, use
+//! `lazydram capture` / `lazydram replay`.
 //!
 //! ```text
-//! dbg_trace capture APP FILE [SCALE]     record APP's baseline request stream
-//! dbg_trace replay FILE [SCHEME]         replay a trace file through MC+DRAM
 //! dbg_trace envelope APP [SCALE]         replayed-vs-executed error per scheme
 //! dbg_trace sweep APP [SCALE]            timed fig04 delay sweep: executed vs replayed
 //! ```
 //!
-//! Defaults: `SCALE 0.1`, `SCHEME baseline`. `envelope` is the harness
-//! behind the documented replay accuracy numbers (EXPERIMENTS.md): open-loop
-//! replay loses the closed-loop timing feedback (a delayed scheduler slows
-//! the GPU down, which reshapes the arrival stream), so DRAM-side metrics
-//! differ from the execution-driven run by a few percent; this tool
-//! quantifies that instead of hand-waving it.
+//! Default `SCALE` is 0.1. `envelope` is the harness behind the documented
+//! replay accuracy numbers (EXPERIMENTS.md): open-loop replay loses the
+//! closed-loop timing feedback (a delayed scheduler slows the GPU down,
+//! which reshapes the arrival stream), so DRAM-side metrics differ from the
+//! execution-driven run; this tool quantifies by how much.
 
 use lazydram_bench::{print_table, SimBuilder};
 use lazydram_common::{DmsMode, GpuConfig, SchedConfig, Scheme, SimStats};
 use lazydram_energy::{EnergyModel, MemoryTech};
 use lazydram_gpu::{Trace, TraceSim};
 use lazydram_workloads::{by_name, AppSpec};
-use std::path::Path;
 use std::time::Instant;
 
 fn app_or_exit(name: &str) -> AppSpec {
@@ -41,13 +37,12 @@ fn parse_scale(args: &[String], at: usize) -> f64 {
     })
 }
 
-/// Captures the app's baseline request stream (the trace-store convention:
-/// sweeps replay the baseline-policy stream under every candidate scheme).
-fn capture(app: &AppSpec, scale: f64) -> (Trace, SimStats, f64) {
+/// Captures the app's baseline request stream, which both subcommands
+/// replay under every candidate scheme.
+fn capture(app: &AppSpec, scale: f64) -> (Trace, f64) {
     let t0 = Instant::now();
     let r = SimBuilder::new(app).scheme(Scheme::Baseline).scale(scale).trace(true).build().run();
-    let secs = t0.elapsed().as_secs_f64();
-    (r.trace.expect("capture enabled"), r.stats, secs)
+    (r.trace.expect("capture enabled"), t0.elapsed().as_secs_f64())
 }
 
 fn rel_err(replayed: f64, executed: f64) -> f64 {
@@ -62,61 +57,11 @@ fn row_energy(stats: &SimStats) -> f64 {
     EnergyModel::new(MemoryTech::Gddr5).breakdown(&stats.dram).row_energy_pj
 }
 
-fn cmd_capture(app: &AppSpec, path: &Path, scale: f64) {
-    let cfg = GpuConfig::default();
-    let (trace, stats, secs) = capture(app, scale);
-    trace.save_file(path, &cfg).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    println!(
-        "captured {} requests from {} (scale {scale}) in {secs:.2}s -> {}",
-        trace.len(),
-        app.name,
-        path.display()
-    );
-    println!("  geometry digest {:016x}", Trace::stream_digest(&cfg));
-    println!("  execution-driven baseline: {} activations", stats.dram.activations);
-}
-
-fn cmd_replay(path: &Path, scheme_label: &str) {
-    let cfg = GpuConfig::default();
-    let scheme = Scheme::by_label(scheme_label).unwrap_or_else(|| {
-        eprintln!("unknown scheme {scheme_label:?}");
-        std::process::exit(2);
-    });
-    let trace = Trace::load_file(path, &cfg).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    let t0 = Instant::now();
-    let report = TraceSim::new(&cfg, &scheme.sched()).replay(&trace).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    println!(
-        "replayed {} of {} requests under {} in {:.3}s ({} memory cycles)",
-        report.served,
-        trace.len(),
-        scheme.label(),
-        t0.elapsed().as_secs_f64(),
-        report.replay_cycles
-    );
-    println!("  activations {:>10}", report.stats.dram.activations);
-    println!("  Avg-RBL     {:>10.2}", report.stats.dram.avg_rbl());
-    println!("  coverage    {:>9.1}%", 100.0 * report.stats.dram.coverage());
-    println!("  row energy  {:>9.1} µJ", row_energy(&report.stats) / 1e6);
-    if report.unserved > 0 {
-        eprintln!("REPLAY INCOMPLETE: {} requests unserved", report.unserved);
-        std::process::exit(1);
-    }
-}
-
 /// The validation harness: for every paper scheme, compare the
 /// execution-driven run against an open-loop replay of the baseline trace.
 fn cmd_envelope(app: &AppSpec, scale: f64) {
     let cfg = GpuConfig::default();
-    let (trace, _, _) = capture(app, scale);
+    let (trace, _) = capture(app, scale);
     println!(
         "{}: replayed-vs-executed error envelope (scale {scale}, {} recorded requests)",
         app.name,
@@ -155,7 +100,7 @@ fn cmd_envelope(app: &AppSpec, scale: f64) {
 fn cmd_sweep(app: &AppSpec, scale: f64) {
     let cfg = GpuConfig::default();
     let delays = [64u32, 128, 256, 512, 1024, 2048];
-    let (trace, _, capture_s) = capture(app, scale);
+    let (trace, capture_s) = capture(app, scale);
     let mut exec_s = 0.0;
     let mut replay_s = 0.0;
     let mut rows = Vec::new();
@@ -198,12 +143,6 @@ fn cmd_sweep(app: &AppSpec, scale: f64) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("capture") if args.len() >= 3 => {
-            cmd_capture(&app_or_exit(&args[1]), Path::new(&args[2]), parse_scale(&args, 3));
-        }
-        Some("replay") if args.len() >= 2 => {
-            cmd_replay(Path::new(&args[1]), args.get(2).map_or("baseline", String::as_str));
-        }
         Some("envelope") if args.len() >= 2 => {
             cmd_envelope(&app_or_exit(&args[1]), parse_scale(&args, 2));
         }
@@ -211,10 +150,7 @@ fn main() {
             cmd_sweep(&app_or_exit(&args[1]), parse_scale(&args, 2));
         }
         _ => {
-            eprintln!(
-                "usage: dbg_trace <capture APP FILE [SCALE] | replay FILE [SCHEME] | \
-                 envelope APP [SCALE] | sweep APP [SCALE]>"
-            );
+            eprintln!("usage: dbg_trace <envelope APP [SCALE] | sweep APP [SCALE]>");
             std::process::exit(2);
         }
     }

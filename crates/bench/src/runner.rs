@@ -19,9 +19,9 @@
 //!   computed once in a concurrent cache and shared across schemes, instead
 //!   of once per figure as the sequential harnesses used to do. The app's
 //!   exact functional output rides along as a lazy [`ExactOutput`] handle:
-//!   it is computed on the first result-cache miss that actually simulates
-//!   on the execute route, at most once per app, and never on a warm (or
-//!   `require`-mode) sweep served wholly from the store.
+//!   it is computed on the first result-cache miss that actually simulates,
+//!   at most once per app, and never on a warm (or `require`-mode) sweep
+//!   served wholly from the store.
 //! * **Observability** — per-job wall-clock timing and `[k/n]` progress
 //!   lines on stderr, plus an optional JSONL results file
 //!   (`LAZYDRAM_RESULTS=path`) with one schema-stable [`Measurement`]
@@ -36,22 +36,13 @@
 //!   and the bit-identical restore guarantee keeps the results (and the
 //!   JSONL file) byte-identical to an uninterrupted sweep. Checkpoint-IO
 //!   failures surface as [`JobFailure`] records, not panics.
-//! * **Trace fast path** — with `LAZYDRAM_TRACE_DIR` set (behavior via
-//!   `LAZYDRAM_TRACE_MODE`: `auto` (default), `capture`, or `replay`), each
-//!   `(app, machine geometry, scale)` baseline run records the coalesced
-//!   request stream at the NoC→MC boundary and parks it in the trace store;
-//!   sweep cells then replay that stream through MC + DRAM only
-//!   ([`crate::try_measure_replay`]), turning scheduler-side sweeps
-//!   (fig02/fig04/fig11/fig13) into capture-once-replay-many. Replayed
-//!   records carry `replayed: true` in the JSONL and report `ipc`/
-//!   `app_error` as 0 (open-loop replay has no core side); a replay that
-//!   cannot serve every recorded request is a [`JobFailure`], never a
-//!   silently smaller result.
 //! * **Result cache** — with `LAZYDRAM_CACHE_DIR` set (behavior via
 //!   `LAZYDRAM_CACHE_MODE`: `auto` (default), `require`, `refresh`, `off`),
 //!   every finished `(app × scheme × config)` cell is published to the
 //!   content-addressed [`Store`](crate::store) and later sweeps — any
 //!   harness, any process — serve it from disk instead of re-simulating.
+//!   This is the only way a sweep skips simulation: every cell the store
+//!   cannot serve is executed in full.
 //!   Cache hits are byte-identical to execution (the
 //!   [`Measurement::cached`] provenance flag never enters stdout or the
 //!   JSONL), flagged `[cache hit]` on the progress line, and tallied in the
@@ -64,16 +55,14 @@
 //!   under `LAZYDRAM_QUIET` or when no jobs ran.
 
 use crate::store::{Fidelity, Store};
-use crate::{try_measure, try_measure_replay, try_measure_traced, Measurement};
+use crate::{try_measure, Measurement};
 use lazydram_common::json::JsonObject;
 use lazydram_common::{GpuConfig, Scheme};
-use lazydram_gpu::Trace;
 use lazydram_workloads::{exact_output, AppSpec, CacheMode, CachePolicy, CheckpointPolicy,
-                         SimBuilder, TraceMode, TracePolicy};
+                         SimBuilder};
 use std::collections::HashMap;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -127,8 +116,8 @@ impl<'a, T> Job<'a, T> {
 /// computed on the first [`get`](Self::get) and shared from then on.
 ///
 /// Computing it is a full functional run of every kernel launch of the app,
-/// so the runner forces it only where a cell simulates on the execute
-/// route; cache hits and trace replays never need it.
+/// so the runner forces it only where a cell simulates; cache hits never
+/// need it.
 pub struct ExactOutput {
     app: AppSpec,
     scale: f64,
@@ -188,7 +177,6 @@ impl MeasureSpec {
 }
 
 type BaselineKey = (String, u64, String);
-type TraceCell = Arc<OnceLock<Result<Arc<Trace>, String>>>;
 
 /// Parallel sweep runner. See the [module docs](self) for the full design.
 pub struct SweepRunner {
@@ -196,10 +184,8 @@ pub struct SweepRunner {
     quiet: bool,
     results: Option<Mutex<std::io::BufWriter<std::fs::File>>>,
     checkpoints: Option<CheckpointPolicy>,
-    traces: Option<TracePolicy>,
     cache: Option<Store>,
     baselines: Mutex<HashMap<BaselineKey, Arc<OnceLock<Arc<Baseline>>>>>,
-    trace_cache: Mutex<HashMap<PathBuf, TraceCell>>,
     jobs_run: AtomicU64,
     jobs_failed: AtomicU64,
     started: Instant,
@@ -220,12 +206,13 @@ impl SweepRunner {
     /// `LAZYDRAM_JOBS` (default: available parallelism), JSONL results path
     /// from `LAZYDRAM_RESULTS` (default: none), crash-recovery
     /// checkpointing from `LAZYDRAM_CHECKPOINT_DIR` /
-    /// `LAZYDRAM_CHECKPOINT_EVERY` (default: off).
+    /// `LAZYDRAM_CHECKPOINT_EVERY` (default: off), and the result store
+    /// from `LAZYDRAM_CACHE_DIR` / `LAZYDRAM_CACHE_MODE` (default: off).
     ///
     /// # Panics
     ///
     /// Panics on a malformed `LAZYDRAM_JOBS`, an unwritable
-    /// `LAZYDRAM_RESULTS` path, or malformed checkpoint/trace variables.
+    /// `LAZYDRAM_RESULTS` path, or malformed checkpoint/cache variables.
     pub fn from_env() -> Self {
         let workers = match std::env::var("LAZYDRAM_JOBS") {
             Ok(s) => parse_jobs(&s).unwrap_or_else(|e| panic!("{e}")),
@@ -233,7 +220,6 @@ impl SweepRunner {
         };
         let runner = Self::with_workers(workers)
             .with_checkpoints(CheckpointPolicy::from_env_or_die())
-            .with_traces(TracePolicy::from_env_or_die())
             .with_cache(CachePolicy::from_env_or_die());
         match std::env::var("LAZYDRAM_RESULTS") {
             Ok(path) if !path.trim().is_empty() => runner.with_results_file(&path),
@@ -248,10 +234,8 @@ impl SweepRunner {
             quiet: std::env::var("LAZYDRAM_QUIET").is_ok(),
             results: None,
             checkpoints: None,
-            traces: None,
             cache: None,
             baselines: Mutex::new(HashMap::new()),
-            trace_cache: Mutex::new(HashMap::new()),
             jobs_run: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             started: Instant::now(),
@@ -262,15 +246,6 @@ impl SweepRunner {
     /// measurement job.
     pub fn with_checkpoints(mut self, policy: Option<CheckpointPolicy>) -> Self {
         self.checkpoints = policy;
-        self
-    }
-
-    /// Attaches (or clears) the trace capture/replay policy: baselines
-    /// capture the request stream into the policy's store, and sweep cells
-    /// replay it through MC + DRAM only instead of re-running the GPU (see
-    /// [`TraceMode`] for the capture/replay split).
-    pub fn with_traces(mut self, policy: Option<TracePolicy>) -> Self {
-        self.traces = policy;
         self
     }
 
@@ -411,70 +386,15 @@ impl SweepRunner {
             .clone();
         cell.get_or_init(|| {
             let exact = Arc::new(ExactOutput::new(app, scale));
-            // With a trace policy attached, the baseline run doubles as the
-            // capture run: it records the request stream and parks it in
-            // the trace store for the sweep cells to replay. The baseline
-            // *measurement* stays execution-driven either way (it anchors
-            // the IPC/error normalization, which replay cannot provide).
-            let capture = self.traces.as_ref().is_some_and(|p| {
-                p.mode != TraceMode::Replay && !p.path_for(app.name, cfg, scale).exists()
-            });
             let builder = SimBuilder::new(app)
                 .gpu(cfg.clone())
                 .scheme(Scheme::Baseline)
                 .scale(scale)
-                .checkpoints(self.checkpoints.clone())
-                .trace(capture);
-            // A pending trace capture forces execution in auto mode — a
-            // cache hit can serve the measurement but not park the trace
-            // the sweep cells will want. `require` mode still looks up (it
-            // promises a simulation-free sweep; replay cells then hit the
-            // cache too, so the missing trace never matters).
-            let skip_lookup = capture && self.cache.as_ref().is_some_and(|s| s.mode() != CacheMode::Require);
-            if !skip_lookup {
-                match self.cache_lookup(&builder, Fidelity::Execute) {
-                    Ok(Some(measurement)) => return Arc::new(Baseline { measurement, exact }),
-                    Ok(None) => {}
-                    Err(e) => panic!("{e}"),
-                }
-            }
-            let key = Store::cell_key(builder.cell_digest(), Fidelity::Execute);
-            let run = builder.build();
-            let (measurement, trace) =
-                try_measure_traced(&run, exact.get()).unwrap_or_else(|e| panic!("{e}"));
-            self.cache_publish(key, &measurement);
-            if let (Some(policy), Some(trace)) = (&self.traces, trace) {
-                let path = policy.path_for(app.name, cfg, scale);
-                std::fs::create_dir_all(&policy.dir).unwrap_or_else(|e| {
-                    panic!("cannot create LAZYDRAM_TRACE_DIR {}: {e}", policy.dir.display())
-                });
-                trace
-                    .save_file(&path, cfg)
-                    .unwrap_or_else(|e| panic!("cannot park captured trace: {e}"));
-                // Seed the in-memory cache so replay jobs skip the decode.
-                let cell = self.trace_cell(&path);
-                let _ = cell.set(Ok(Arc::new(trace)));
-            }
+                .checkpoints(self.checkpoints.clone());
+            let measurement = self.measure_one(builder, &exact).unwrap_or_else(|e| panic!("{e}"));
             Arc::new(Baseline { measurement, exact })
         })
         .clone()
-    }
-
-    fn trace_cell(&self, path: &Path) -> TraceCell {
-        self.trace_cache
-            .lock()
-            .expect("trace cache lock")
-            .entry(path.to_path_buf())
-            .or_insert_with(|| Arc::new(OnceLock::new()))
-            .clone()
-    }
-
-    /// Loads (and caches) a trace-store file; concurrent replay jobs of the
-    /// same sweep share one decoded [`Trace`].
-    fn load_trace(&self, path: &Path, cfg: &GpuConfig) -> Result<Arc<Trace>, String> {
-        self.trace_cell(path)
-            .get_or_init(|| Trace::load_file(path, cfg).map(Arc::new).map_err(|e| e.to_string()))
-            .clone()
     }
 
     /// Computes all apps' baselines **in parallel** (through the cache) and
@@ -558,52 +478,15 @@ impl SweepRunner {
         results
     }
 
-    /// One sweep cell: open-loop trace replay when the policy and store
-    /// allow it, execution-driven otherwise — behind the result cache.
-    ///
-    /// The route (replay vs. execute) is resolved **before** the cache is
-    /// consulted, for two reasons: the cache key's fidelity flavor must
-    /// match the bytes the cell would actually produce (replay zeroes
-    /// `ipc`/`app_error`), and a replay-mode cell whose trace is missing
-    /// must fail identically whether or not some earlier sweep published an
-    /// entry — warm and cold runs stay byte-identical.
-    ///
-    /// The exact output is forced only on an execute-route miss.
+    /// One cell, baseline or scheme: served from the result store when it
+    /// holds the cell, otherwise simulated and published. The exact output
+    /// is forced only on a miss, right before simulating.
     fn measure_one(&self, builder: SimBuilder, exact: &ExactOutput) -> Result<Measurement, String> {
-        let mut replay_path = None;
-        if let Some(policy) = &self.traces {
-            if policy.mode != TraceMode::Capture {
-                let path = policy.path_for(
-                    builder.app().name,
-                    builder.gpu_config(),
-                    builder.work_scale(),
-                );
-                if path.exists() {
-                    replay_path = Some(path);
-                } else if policy.mode == TraceMode::Replay {
-                    return Err(format!(
-                        "no captured trace at {} (run the sweep once with \
-                         LAZYDRAM_TRACE_MODE=auto or capture to record it)",
-                        path.display()
-                    ));
-                }
-                // Auto mode with no stored trace for this machine geometry
-                // (e.g. an ablation config no baseline captured): fall back
-                // to the execution-driven path.
-            }
-        }
-        let fidelity = if replay_path.is_some() { Fidelity::Replay } else { Fidelity::Execute };
-        if let Some(m) = self.cache_lookup(&builder, fidelity)? {
+        let key = Store::cell_key(builder.cell_digest(), Fidelity::Execute);
+        if let Some(m) = self.cache_lookup(key, &builder)? {
             return Ok(m);
         }
-        let key = Store::cell_key(builder.cell_digest(), fidelity);
-        let m = match replay_path {
-            Some(path) => {
-                let trace = self.load_trace(&path, builder.gpu_config())?;
-                try_measure_replay(&builder.build(), &trace)?
-            }
-            None => try_measure(&builder.build(), exact.get())?,
-        };
+        let m = try_measure(&builder.build(), exact.get())?;
         self.cache_publish(key, &m);
         Ok(m)
     }
@@ -612,16 +495,11 @@ impl SweepRunner {
     /// hit (with [`Measurement::cached`] set); `Ok(None)` means simulate
     /// (store off, `refresh` mode, or a plain miss); `Err` is a `require`-
     /// mode miss with a remediation hint.
-    fn cache_lookup(
-        &self,
-        builder: &SimBuilder,
-        fidelity: Fidelity,
-    ) -> Result<Option<Measurement>, String> {
+    fn cache_lookup(&self, key: u64, builder: &SimBuilder) -> Result<Option<Measurement>, String> {
         let Some(store) = &self.cache else { return Ok(None) };
         if store.mode() == CacheMode::Refresh {
             return Ok(None);
         }
-        let key = Store::cell_key(builder.cell_digest(), fidelity);
         let app = builder.app().name;
         let scheme = builder.scheme_label();
         match store.lookup(key, app, scheme) {
@@ -708,16 +586,10 @@ impl Drop for SweepRunner {
 }
 
 /// Renders the progress-line annotation for a measurement: cache-served
-/// and trace-replayed cells are flagged, since they skip the simulation
-/// (wholly or GPU-side); executed cells get none.
+/// cells are flagged, since they skip the simulation; executed cells get
+/// none.
 fn skip_note(m: &Measurement) -> String {
-    if m.cached {
-        " [cache hit]".to_string()
-    } else if m.replayed {
-        " [trace replay]".to_string()
-    } else {
-        String::new()
-    }
+    if m.cached { " [cache hit]".to_string() } else { String::new() }
 }
 
 /// Extracts a readable message from a panic payload.
@@ -752,6 +624,7 @@ mod tests {
     use super::*;
     use lazydram_common::{DmsMode, SchedConfig};
     use lazydram_workloads::{by_name, CachePolicy};
+    use std::path::PathBuf;
 
     const SCALE: f64 = 0.05;
 
@@ -809,23 +682,6 @@ mod tests {
                 "{mode:?}: a sweep served from the store must not compute exact outputs"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn replay_cells_never_compute_exact_outputs() {
-        let dir = fresh_dir("replay");
-        let runner = SweepRunner::with_workers(2)
-            .quiet()
-            .with_traces(Some(TracePolicy::new(&dir, TraceMode::Auto)));
-        let app = by_name("SCP").expect("app");
-        // The baseline captures the trace the cells replay.
-        runner.baseline(&app, &GpuConfig::default(), SCALE);
-        let exact = Arc::new(ExactOutput::new(&app, SCALE));
-        for cell in runner.measure_all(dms_cells(&app, &exact)) {
-            assert!(cell.expect("replay cell runs").replayed, "the cell took the replay route");
-        }
-        assert!(exact.output.get().is_none(), "a replay cell must not force its exact output");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,9 +10,8 @@
 //!
 //! * **Key** — [`Store::cell_key`] folds the [`SimBuilder::cell_digest`]
 //!   (app × scheme label × scale bits × machine config × policy × limits)
-//!   with the requested *fidelity* ([`Fidelity::Execute`] vs
-//!   [`Fidelity::Replay`] — a trace-replayed measurement zeroes `ipc` and
-//!   `app_error`, so the two must never alias), the
+//!   with the [`Fidelity`] discriminator (always [`Fidelity::Execute`]:
+//!   every stored cell is execution-driven), the
 //!   [`lazydram_common::SEMANTICS_VERSION`] (bumped by any
 //!   behavior-changing PR, invalidating every stale entry at once), and the
 //!   [`STORE_VERSION`] wire-format version.
@@ -63,22 +62,23 @@ use std::sync::{Arc, Mutex};
 /// keys started covering the memory-backend kind (PR 10 backend matrix) —
 /// the layout is unchanged, but v2 entries predate backend-keyed configs,
 /// so they are retired wholesale rather than trusted to collide correctly.
-pub const STORE_VERSION: u16 = 3;
+/// v4: stores filled while the event-driven fast-forward existed hold
+/// nonzero `cycles_skipped`/`compute_cycles_skipped` and a `ticks_executed`
+/// below `core_cycles`, which the plain loop never reproduces — a warm
+/// sweep served from them would differ from a cold one in those counters.
+pub const STORE_VERSION: u16 = 4;
 
 /// Filename extension of a store entry.
 pub const ENTRY_EXT: &str = "meas";
 
-/// How the measurement a cell asks for is produced — execution-driven, or
-/// open-loop trace replay (which zeroes `ipc`/`app_error`). Folded into the
-/// cache key so a replay-capable sweep and an execution-driven sweep sharing
-/// one cache directory never serve each other's (different) bytes.
+/// How the measurement a cell asks for is produced. Sweeps only ever
+/// execute, so [`Fidelity::Execute`] is the one variant; the type stays a
+/// [`Store::cell_key`] argument so existing callers and existing keys are
+/// unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Full execution-driven simulation.
     Execute,
-    /// The sweep is allowed to replay this cell from a captured trace
-    /// (`LAZYDRAM_TRACE_DIR` with mode `auto` or `replay`).
-    Replay,
 }
 
 /// Why a store entry was rejected (and the cell re-simulated).
@@ -236,7 +236,6 @@ impl Store {
     pub fn cell_key(cell_digest: u64, fidelity: Fidelity) -> u64 {
         let f = match fidelity {
             Fidelity::Execute => 0u64,
-            Fidelity::Replay => 1u64,
         };
         fold(fold(fold(cell_digest, f), SEMANTICS_VERSION), u64::from(STORE_VERSION))
     }
@@ -598,13 +597,11 @@ mod tests {
     }
 
     #[test]
-    fn fidelity_and_semantics_split_the_key_space() {
+    fn cell_key_folds_digest_and_versions() {
         let d = 0x1234_5678_9ABC_DEF0u64;
-        assert_ne!(
-            Store::cell_key(d, Fidelity::Execute),
-            Store::cell_key(d, Fidelity::Replay)
-        );
-        assert_ne!(Store::cell_key(d, Fidelity::Execute), d);
+        let key = Store::cell_key(d, Fidelity::Execute);
+        assert_ne!(key, d);
+        assert_eq!(key, fold(fold(fold(d, 0), SEMANTICS_VERSION), u64::from(STORE_VERSION)));
     }
 
     #[test]
@@ -658,6 +655,11 @@ mod tests {
         assert_eq!(
             decode_entry(&forge(SEMANTICS_VERSION, STORE_VERSION + 1), None),
             Err(EntryError::StoreVersion(STORE_VERSION + 1))
+        );
+        // v3 entries may carry fast-forward loop counters; never served.
+        assert_eq!(
+            decode_entry(&forge(SEMANTICS_VERSION, 3), None),
+            Err(EntryError::StoreVersion(3))
         );
         // Valid content under the wrong key or identity is never served.
         let good = forge(SEMANTICS_VERSION, STORE_VERSION);

@@ -4,10 +4,12 @@
 //! memory controllers, producing a **memory trace** that can be replayed
 //! through the scheduler alone — orders of magnitude faster than re-running
 //! the GPU, and exactly the methodology of trace-driven DRAM studies. Replay
-//! is *open-loop* (arrival times are fixed by the recording), so absolute
-//! results differ slightly from the closed-loop run; shapes are preserved
-//! for scheduler-side questions like queue-size or delay sweeps
-//! (`dbg_trace envelope` quantifies the difference per app).
+//! is *open-loop* (arrival times are fixed by the recording), so a delayed
+//! or dropped request never slows the SMs and reshapes the stream that
+//! follows; results can differ markedly from the closed-loop run
+//! (`dbg_trace envelope` quantifies the difference per app). Sweeps
+//! therefore always execute; replay serves open-loop studies such as the
+//! Fig. 3 walk-through and `lazydram capture`/`replay`.
 //!
 //! The pieces:
 //!

@@ -113,8 +113,8 @@ fn main() {
     println!("  → delaying makes the approximation decision accurate (R5, the true RBL(1) row)");
 
     // The same Figure-3 story, replayed open-loop: record the two bursts as
-    // a Trace (the file format sweeps use, DESIGN.md §11) and push it
-    // through the MC+DRAM-only replayer under both policies.
+    // a Trace (the file format `lazydram capture` writes, DESIGN.md §11) and
+    // push it through the MC+DRAM-only replayer under both policies.
     println!("\n=== Figure 3 again, as an open-loop trace replay ===");
     let cfg = GpuConfig::default();
     let map = AddressMap::new(&cfg);

@@ -17,9 +17,9 @@
 //!
 //! The crate root also re-exports the high-level entry points — the
 //! [`SimBuilder`] facade, the [`Scheme`] constructors, the
-//! checkpoint/resume types, and the trace capture/replay types
-//! ([`Trace`], [`TraceSim`], [`TracePolicy`]) — so most users never need
-//! to reach into the sub-crates:
+//! checkpoint/resume types, and the open-loop trace types ([`Trace`],
+//! [`TraceSim`]) for Fig. 3-style studies outside the sweeps, which always
+//! execute — so most users never need to reach into the sub-crates:
 //!
 //! # Example
 //!
@@ -48,6 +48,5 @@ pub use lazydram_gpu::{
     Checkpoint, ReplayReport, RunOutcome, Trace, TraceError, TraceSim,
 };
 pub use lazydram_workloads::{
-    parse_checkpoint_every, parse_trace_mode, CheckpointPolicy, SimBuilder, SimRun, TraceMode,
-    TracePolicy, DEFAULT_CHECKPOINT_EVERY,
+    parse_checkpoint_every, CheckpointPolicy, SimBuilder, SimRun, DEFAULT_CHECKPOINT_EVERY,
 };

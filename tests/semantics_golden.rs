@@ -38,19 +38,19 @@ use lazydram::{Scheme, SimBuilder};
 
 /// `(SEMANTICS_VERSION, golden digest)` — see the module docs for the
 /// re-pin protocol. (The digest covers stored bytes, so `STORE_VERSION`
-/// bumps re-pin it too; v3 re-pin carried no behavior change — the
-/// default-machine cells were byte-identical across the bump.)
-const PINNED: (u64, u64) = (1, 0x92bfa379f4eccf4a);
+/// bumps re-pin it too; the v3 and v4 re-pins carried no behavior change —
+/// with `STORE_VERSION` set back, every cell reproduced its previous pin.)
+const PINNED: (u64, u64) = (1, 0x6573bba70465ac03);
 
 /// One golden cell per non-default memory backend: SCP under the headline
 /// scheme on each new backend model. A drifting digest here with a clean
 /// [`PINNED`] means only the new backends changed behavior — same re-pin
 /// protocol, scoped to the named backend.
 const PINNED_BACKENDS: [(DramPreset, u64); 4] = [
-    (DramPreset::Naive, 0x4c5a6a7626de5beb),
-    (DramPreset::Ddr4, 0x42942b14fe448cb1),
-    (DramPreset::Lpddr4, 0xa754532770a2d249),
-    (DramPreset::Flex, 0x1f9f9c0e0bbbeb09),
+    (DramPreset::Naive, 0x1eff93452dd0b3d6),
+    (DramPreset::Ddr4, 0x3c5a82727655eedf),
+    (DramPreset::Lpddr4, 0x1d0b7b81c2f22e20),
+    (DramPreset::Flex, 0x376e3378a10e6168),
 ];
 
 fn cell(app: &str, scheme: Scheme) -> Measurement {

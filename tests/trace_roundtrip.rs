@@ -41,31 +41,35 @@ fn trace_capture_off_by_default() {
     assert!(run.trace.is_none());
 }
 
+/// A baseline capture replays under every fig04 delay with no request left
+/// unserved or lost, and delaying does not raise activations beyond noise.
 #[test]
 fn trace_replay_responds_to_dms() {
-    let app = by_name("SCP").expect("app");
     let cfg = GpuConfig::default();
-    let run = SimBuilder::new(&app)
-        .scheme(Scheme::Baseline)
-        .scale(0.1)
-        .trace(true)
-        .build()
-        .run();
-    let trace = run.trace.expect("capture enabled");
-    let base = trace.replay(&cfg, &SchedConfig::baseline());
-    let dms = trace.replay(&cfg, &SchedConfig {
-        dms: lazydram::common::DmsMode::Static(512),
-        ..SchedConfig::baseline()
-    });
-    // The delayed replay must not lose requests and should not *increase*
-    // activations by more than noise.
-    assert_eq!(dms.dram.reads + dms.dram.writes, base.dram.reads + base.dram.writes);
-    assert!(
-        (dms.dram.activations as f64) < 1.15 * base.dram.activations as f64,
-        "DMS replay acts {} vs {}",
-        dms.dram.activations,
-        base.dram.activations
-    );
+    for app in ["SCP", "SLA"] {
+        let trace = capture(app, 0.1);
+        let base = TraceSim::new(&cfg, &SchedConfig::baseline()).replay(&trace).expect("replay");
+        assert_eq!(base.unserved, 0, "{app}: baseline replay left requests unserved");
+        for delay in [64u32, 128, 256, 512, 1024, 2048] {
+            let sched = SchedConfig {
+                dms: lazydram::common::DmsMode::Static(delay),
+                ..SchedConfig::baseline()
+            };
+            let dms = TraceSim::new(&cfg, &sched).replay(&trace).expect("replay");
+            assert_eq!(dms.unserved, 0, "{app}/DMS({delay}): requests left unserved");
+            assert_eq!(
+                dms.stats.dram.reads + dms.stats.dram.writes,
+                base.stats.dram.reads + base.stats.dram.writes,
+                "{app}/DMS({delay}): the delayed replay lost requests"
+            );
+            assert!(
+                (dms.stats.dram.activations as f64) < 1.15 * base.stats.dram.activations as f64,
+                "{app}/DMS({delay}): replay acts {} vs {}",
+                dms.stats.dram.activations,
+                base.stats.dram.activations
+            );
+        }
+    }
 }
 
 fn capture(app_name: &str, scale: f64) -> Trace {
